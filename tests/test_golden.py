@@ -1,0 +1,52 @@
+"""Golden digests: the exact output bytes of a small fixed CLI run.
+
+Any change to how the random streams are consumed, how the oracle
+charges its ledger, or how outputs are formatted changes these digests.
+A change that alters them on purpose must say so and show that the
+acceptance criteria still hold.
+
+The family has a tier of 5-sets above k_max = 4 and the run has false
+negatives, so every outcome type appears: initial aborts, finds,
+AbortTooLarge, AbortAtStep and AbortNoMinimal.
+"""
+
+import hashlib
+
+import pytest
+
+from groupsight.cli import main as cli_main
+
+FAMILY_SHA256 = "800c85dbd80e2042fbca74936730c4334a6edea2f21e4f8d5f2ad4dc2fec5c1b"
+RUNS_SHA256 = "f0e943292fbc6c91c675620473105fdddf54b071d5cee245caed7848a287a2fd"
+SUMMARY_SHA256 = "dea708b3e4ec844d5f457fd08af93fee4d560af56b16dfdc2041c96e10bbf8df"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_family(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "fam.json"
+    assert cli_main([
+        "generate", "--n", "60", "--k2", "10", "--k3", "10", "--k5", "300",
+        "--seed", "31", "-o", str(path),
+    ]) == 0
+    return path
+
+
+def test_family_bytes(golden_family):
+    assert sha256(golden_family) == FAMILY_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_bytes(golden_family, tmp_path, threads):
+    out = tmp_path / "out"
+    assert cli_main([
+        "run", "--family", str(golden_family), "--a0", "8,16,32", "--runs", "100",
+        "--kmin", "2", "--kmax", "4", "--tmax", "20", "--pfn", "0.05",
+        "--seed", "7", "--threads", str(threads), "--label", "golden",
+        "-o", str(out),
+    ]) == 0
+    assert sha256(out / "runs.jsonl") == RUNS_SHA256
+    assert sha256(out / "summary.csv") == SUMMARY_SHA256
