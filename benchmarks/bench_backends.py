@@ -1,7 +1,8 @@
 """Benchmark: compiled subset-query kernel vs pure-Python fallback.
 
-Times raw family queries and a full paired-run cell under both backends,
-after verifying that they return identical answers. Run as:
+Times raw full-family queries under both backends, after verifying that
+they return identical answers. Paired runs answer their queries from a
+per-pair projection of the family and do not use either kernel. Run as:
 
     python benchmarks/bench_backends.py [--quick]
 """
@@ -44,46 +45,16 @@ def bench_queries(index, queries):
     return elapsed, hits
 
 
-def bench_cell(family, runs, backend_name):
-    # Selecting the backend via the environment requires a fresh process;
-    # here we monkeypatch the module-level index class instead, which the
-    # lazy family index construction picks up.
-    import groupsight.backend as backend_mod
-
-    original = backend_mod.FamilyIndex
-    backend_mod.FamilyIndex = (
-        _kernel.FamilyIndex if backend_name == "compiled" else _kernel_py.FamilyIndex
-    )
-    try:
-        from groupsight import ExperimentConfig, run_experiment
-
-        bare = type(family)(
-            universe_size=family.universe_size,
-            planted=family.planted,
-            seed=family.seed,
-        )
-        config = ExperimentConfig(
-            a0_grid=(176,), runs_per_cell=runs, p_fn=0.01, master_seed=3
-        )
-        start = time.perf_counter()
-        result = run_experiment(bare, config)
-        elapsed = time.perf_counter() - start
-        finds = result.summaries[0].finds
-        return elapsed, finds
-    finally:
-        backend_mod.FamilyIndex = original
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="smaller family and fewer runs")
+                        help="smaller family and fewer queries")
     args = parser.parse_args()
 
     if args.quick:
-        counts, n, n_queries, runs = {2: 100, 3: 100, 4: 100, 5: 20_000}, 500, 2000, 200
+        counts, n, n_queries = {2: 100, 3: 100, 4: 100, 5: 20_000}, 500, 2000
     else:
-        counts, n, n_queries, runs = {2: 400, 3: 400, 4: 400, 5: 300_000}, 1000, 5000, 1000
+        counts, n, n_queries = {2: 400, 3: 400, 4: 400, 5: 300_000}, 1000, 5000
 
     print(f"family: N={n}, counts={counts}")
     family = generate_family(n, counts, seed=20250810)
@@ -107,15 +78,6 @@ def main():
               f"({1e6 * elapsed / n_queries:.1f} us/query, {hits} defective)")
     if len(results) == 2:
         print(f"query speedup: {results['pure'] / results['compiled']:.1f}x")
-
-    cell = {}
-    for name in backends:
-        elapsed, finds = bench_cell(family, runs, name)
-        cell[name] = elapsed
-        print(f"{name:>9}: {runs} paired runs at a0=176 in {elapsed:.2f}s "
-              f"({finds} finds)")
-    if len(cell) == 2:
-        print(f"end-to-end speedup: {cell['pure'] / cell['compiled']:.1f}x")
 
 
 if __name__ == "__main__":

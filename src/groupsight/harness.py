@@ -7,9 +7,15 @@ benchmark reports: medians, abort rates, found-size proportions,
 Mann-Whitney comparisons, and expected costs under a configurable
 positive:negative test cost ratio.
 
+A pair projects the planted family onto its initial sample once and
+answers every test of both samplers from that projection, since each
+query is a subset of the initial sample; the full-family index is not
+consulted during paired runs.
+
 All randomness is derived from (master seed, a0, run index, role)
 substreams, so results are byte-identical for a given configuration no
-matter how many worker processes execute the grid.
+matter how many worker processes execute the grid. With more than one
+thread, one worker pool serves every cell of an experiment.
 """
 
 from __future__ import annotations
@@ -17,12 +23,13 @@ from __future__ import annotations
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
 from .errors import ValidationError
-from .oracle import Oracle, PlantedFamily, TestLedger
+from .oracle import Oracle, PlantedFamily, TestLedger, sample
 from .rc import RcConfig, run_rc
 from .results import RunOutcome, RunResult
 from .rng import ROLE_INIT, ROLE_INIT_NOISE, ROLE_RC, ROLE_SIGHT, spawn_generator
@@ -117,30 +124,40 @@ def run_pair(
 ) -> PairResult:
     """Execute one paired run.
 
-    Both samplers receive generators for the identical INIT substream, so
-    they draw the same initial sample and the same initial-test noise;
-    their decision/noise streams afterwards are independent substreams.
-    The initial-test noise substream is keyed without a0, so cells of
-    different initial sizes also share it (common random numbers: at
-    saturation the same pairs flip to false negatives in every cell).
+    The initial sample S is drawn once, from the INIT substream, and both
+    samplers start from it. Every later query either sampler makes is a
+    subset of S, so both ask an oracle whose truth is the family's
+    projection onto S. Both also see the same initial-test noise draw:
+    rc gets the INIT_NOISE generator rewound to the state sight started
+    from. Their decision/noise streams afterwards are independent
+    substreams, so a pair spawns four generators. The initial-test noise
+    substream is keyed without a0, so cells of different initial sizes
+    also share it (common random numbers: at saturation the same pairs
+    flip to false negatives in every cell).
     """
-    oracle = Oracle(family, config.p_fn)
     seed = config.master_seed
+    s = sample(
+        range(family.universe_size), a0, spawn_generator(seed, a0, pair_id, ROLE_INIT)
+    )
+    oracle = Oracle(family.project(s), config.p_fn)
+    init_noise_rng = spawn_generator(seed, pair_id, ROLE_INIT_NOISE)
+    init_noise_state = init_noise_rng.bit_generator.state
     sight_res = run_sight(
         family.universe_size,
         SightConfig(a0, config.k_min, config.k_max),
         oracle,
         spawn_generator(seed, a0, pair_id, ROLE_SIGHT),
-        init_rng=spawn_generator(seed, a0, pair_id, ROLE_INIT),
-        init_noise_rng=spawn_generator(seed, pair_id, ROLE_INIT_NOISE),
+        init_noise_rng=init_noise_rng,
+        initial_sample=s,
     )
+    init_noise_rng.bit_generator.state = init_noise_state
     rc_res = run_rc(
         family.universe_size,
         RcConfig(a0, config.k_min, config.k_max, config.t_max),
         oracle,
         spawn_generator(seed, a0, pair_id, ROLE_RC),
-        init_rng=spawn_generator(seed, a0, pair_id, ROLE_INIT),
-        init_noise_rng=spawn_generator(seed, pair_id, ROLE_INIT_NOISE),
+        init_noise_rng=init_noise_rng,
+        initial_sample=s,
     )
     return PairResult(pair_id=pair_id, sight=sight_res, rc=rc_res)
 
@@ -160,25 +177,38 @@ def _run_chunk(a0: int, start: int, stop: int) -> list[PairResult]:
     return [run_pair(_worker_family, _worker_config, a0, j) for j in range(start, stop)]
 
 
-def run_cell(
-    family: PlantedFamily, config: ExperimentConfig, a0: int
-) -> list[PairResult]:
-    """All paired runs of one cell, in pair-id order."""
-    runs = config.runs_per_cell
-    if config.threads <= 1:
-        return [run_pair(family, config, a0, j) for j in range(runs)]
-    chunk = max(1, -(-runs // (config.threads * 4)))
-    spans = [(start, min(start + chunk, runs)) for start in range(0, runs, chunk)]
-    with ProcessPoolExecutor(
+def _start_pool(family: PlantedFamily, config: ExperimentConfig) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
         max_workers=config.threads,
         initializer=_init_worker,
         initargs=(family, config),
-    ) as pool:
-        futures = [pool.submit(_run_chunk, a0, start, stop) for start, stop in spans]
-        out: list[PairResult] = []
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+    )
+
+
+def run_cell(
+    family: PlantedFamily,
+    config: ExperimentConfig,
+    a0: int,
+    pool: Optional[ProcessPoolExecutor] = None,
+) -> list[PairResult]:
+    """All paired runs of one cell, in pair-id order.
+
+    With more than one thread the pairs run on `pool`, whose workers
+    must have been started for this family and config; without one, a
+    pool is started for this cell alone.
+    """
+    runs = config.runs_per_cell
+    if config.threads <= 1:
+        return [run_pair(family, config, a0, j) for j in range(runs)]
+    if pool is None:
+        with _start_pool(family, config) as own_pool:
+            return run_cell(family, config, a0, own_pool)
+    chunk = max(1, -(-runs // (config.threads * 4)))
+    futures = [
+        pool.submit(_run_chunk, a0, start, min(start + chunk, runs))
+        for start in range(0, runs, chunk)
+    ]
+    return [pair for fut in futures for pair in fut.result()]
 
 
 def amortize(
@@ -336,10 +366,13 @@ def run_experiment(family: PlantedFamily, config: ExperimentConfig) -> Experimen
     config.validate(family.universe_size)
     cells: dict[int, list[PairResult]] = {}
     summaries: list[CellSummary] = []
-    for a0 in config.a0_grid:
-        pairs = run_cell(family, config, a0)
-        cells[a0] = pairs
-        summaries.extend(summarize_cell(a0, pairs, config.rhos, config.label))
+    # One worker pool serves every cell, so each worker receives the
+    # family once.
+    with _start_pool(family, config) if config.threads > 1 else nullcontext() as pool:
+        for a0 in config.a0_grid:
+            pairs = run_cell(family, config, a0, pool)
+            cells[a0] = pairs
+            summaries.extend(summarize_cell(a0, pairs, config.rhos, config.label))
     return ExperimentResult(config=config, cells=cells, summaries=summaries)
 
 
@@ -411,32 +444,64 @@ def write_summary_csv(
         stream.write(",".join(summary_row(summary, rhos)) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
+    """(a0, pair id, result) of one run-log line; ValueError if malformed."""
+    rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError("run record is not a JSON object")
+    ints = ("positives", "negatives", "a0", "seed")
+    for key in ("algorithm", "outcome", "found_set", *ints):
+        if key not in rec:
+            raise ValueError(f"run record has no {key!r}")
+    for key in ints:
+        if not _is_int(rec[key]):
+            raise ValueError(f"run record {key!r} is not an integer")
+    if rec["algorithm"] not in ("sight", "rc"):
+        raise ValueError(f"run record algorithm {rec['algorithm']!r} is unknown")
+    found = rec["found_set"]
+    if found is not None and not (
+        isinstance(found, list) and all(_is_int(v) for v in found)
+    ):
+        raise ValueError("run record 'found_set' is not null or a list of integers")
+    abort_step = rec.get("abort_step")
+    if abort_step is not None and not _is_int(abort_step):
+        raise ValueError("run record 'abort_step' is not null or an integer")
+    res = RunResult(
+        algorithm=rec["algorithm"],
+        outcome=RunOutcome(rec["outcome"]),
+        ledger=TestLedger(positives=rec["positives"], negatives=rec["negatives"]),
+        a0=rec["a0"],
+        found=None if found is None else tuple(found),
+        abort_step=abort_step,
+    )
+    return rec["a0"], rec["seed"], res
+
+
 def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[PairResult]]]:
     """Rebuild paired results from a run log written by `write_run_log`.
 
     Returns the a0 grid in first-appearance order and the pairs per cell.
     Records are expected in pair order, deterministic-sampler record
-    first within each pair.
+    first within each pair. A malformed record raises ValidationError
+    naming its line.
     """
     grid: list[int] = []
     cells: dict[int, dict[int, dict[str, RunResult]]] = {}
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        res = RunResult(
-            algorithm=rec["algorithm"],
-            outcome=RunOutcome(rec["outcome"]),
-            ledger=TestLedger(positives=rec["positives"], negatives=rec["negatives"]),
-            a0=rec["a0"],
-            found=None if rec["found_set"] is None else tuple(rec["found_set"]),
-            abort_step=rec.get("abort_step"),
-        )
-        a0 = rec["a0"]
+        try:
+            a0, pair_id, res = _parse_run_record(line)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if a0 not in cells:
             cells[a0] = {}
             grid.append(a0)
-        cells[a0].setdefault(rec["seed"], {})[rec["algorithm"]] = res
+        cells[a0].setdefault(pair_id, {})[res.algorithm] = res
     pairs_by_a0: dict[int, list[PairResult]] = {}
     for a0 in grid:
         pairs = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
 
@@ -38,19 +39,46 @@ def canonical_kset(nodes: Iterable[int]) -> KSet:
     return out
 
 
+class FamilyProjection:
+    """The planted sets lying inside one node sample S.
+
+    Answers containment queries for subsets of S from the few planted
+    sets S holds, smallest first. A query with a node outside S raises
+    ValidationError instead of answering.
+    """
+
+    __slots__ = ("nodes", "sets")
+
+    def __init__(self, nodes: frozenset[int], sets: tuple[frozenset[int], ...]):
+        self.nodes = nodes
+        self.sets = sets
+
+    def contains_defective(self, nodes: Sequence[int]) -> bool:
+        """Noise-free truth: does `nodes`, a subset of S, contain a planted set?"""
+        present = frozenset(nodes)
+        if not present <= self.nodes:
+            raise ValidationError("query is not a subset of the projected sample")
+        for p in self.sets:
+            if p <= present:
+                return True
+        return False
+
+
 @dataclass(frozen=True)
 class PlantedFamily:
     """Immutable ground truth: the antichain of minimal defective sets.
 
     `planted` holds canonical (strictly ascending) tuples over the node
-    range [0, universe_size). The subset-query index is built lazily and
-    never pickled; worker processes rebuild it on first use.
+    range [0, universe_size). The subset-query index and the per-size
+    arrays behind `project` are built lazily and never pickled; worker
+    processes rebuild them on first use.
     """
 
     universe_size: int
     planted: tuple[KSet, ...]
     seed: int | None = None
     _index: object = field(default=None, compare=False, repr=False)
+    _tiers: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.universe_size < 1:
@@ -66,6 +94,7 @@ class PlantedFamily:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_index"] = None
+        state["_tiers"] = None
         return state
 
     def __setstate__(self, state):
@@ -77,6 +106,55 @@ class PlantedFamily:
             idx = backend.FamilyIndex(self.universe_size, self.planted)
             object.__setattr__(self, "_index", idx)
         return self._index
+
+    def _size_tiers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per planted size, ascending: (rows, starts), built on first use.
+
+        `rows` holds the size's sets one per row, grouped by minimum
+        member: rows[starts[v]:starts[v + 1]] are the sets whose minimum
+        is v.
+        """
+        if self._tiers is None:
+            dtype = np.min_scalar_type(self.universe_size)
+            tiers = []
+            for k, count in self.counts_by_k.items():
+                rows = np.fromiter(
+                    chain.from_iterable(p for p in self.planted if len(p) == k),
+                    dtype=dtype,
+                    count=k * count,
+                ).reshape(count, k)
+                # Generated and saved families list each size in order.
+                if (rows[1:, 0] < rows[:-1, 0]).any():
+                    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+                starts = np.zeros(self.universe_size + 1, dtype=np.intp)
+                np.cumsum(
+                    np.bincount(rows[:, 0], minlength=self.universe_size),
+                    out=starts[1:],
+                )
+                tiers.append((rows, starts))
+            object.__setattr__(self, "_tiers", tuple(tiers))
+        return self._tiers
+
+    def project(self, nodes: Sequence[int]) -> FamilyProjection:
+        """The planted sets lying inside `nodes`, for queries on its subsets."""
+        given = np.array(nodes, dtype=np.intp)
+        if given.size and (given.min() < 0 or given.max() >= self.universe_size):
+            raise ValidationError("node out of range")
+        inside = np.zeros(self.universe_size, dtype=bool)
+        inside[given] = True
+        members = np.flatnonzero(inside)
+        sets: list[frozenset[int]] = []
+        for rows, starts in self._size_tiers():
+            # Gather the rows whose minimum is in `nodes`, then keep those
+            # whose other members are too, one column at a time.
+            lo = starts[members]
+            counts = starts[members + 1] - lo
+            offsets = np.cumsum(counts) - counts
+            picked = np.arange(counts.sum()) + np.repeat(lo - offsets, counts)
+            for col in range(1, rows.shape[1]):
+                picked = picked[inside[rows[picked, col]]]
+            sets.extend(map(frozenset, rows[picked].tolist()))
+        return FamilyProjection(frozenset(members.tolist()), tuple(sets))
 
     @property
     def counts_by_k(self) -> dict[int, int]:
@@ -97,16 +175,22 @@ class PlantedFamily:
         """Raise unless the family is an antichain of distinct sets.
 
         Each planted set must contain exactly one planted set: itself.
+        Sets are canonical tuples, so a set contains a smaller planted set
+        exactly when one of its subsets at a smaller planted size is in
+        the family.
         """
+        present: set[KSet] = set()
+        for p in self.planted:
+            if p in present:
+                raise _not_antichain(p)
+            present.add(p)
         sizes = sorted(set(len(p) for p in self.planted))
         for p in self.planted:
-            contained = sum(
-                self.count_contained(p, k) for k in sizes if k <= len(p)
-            )
-            if contained != 1:
-                raise ValidationError(
-                    f"family is not an antichain of distinct sets (offending set {p})"
-                )
+            for k in sizes:
+                if k >= len(p):
+                    break
+                if not present.isdisjoint(combinations(p, k)):
+                    raise _not_antichain(p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,6 +223,12 @@ class PlantedFamily:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
+def _not_antichain(p: KSet) -> ValidationError:
+    return ValidationError(
+        f"family is not an antichain of distinct sets (offending set {p})"
+    )
+
+
 @dataclass
 class TestLedger:
     """Counts of charged positive and negative tests for one run."""
@@ -163,10 +253,12 @@ class Oracle:
     the ledger: a true answer flipped to negative by noise is charged as
     a negative test, because that is the behavior the caller observes.
     Answers are never memoized here; any per-run bookkeeping belongs to
-    the search algorithms.
+    the search algorithms. The truth comes from `family`, either a whole
+    planted family or its projection onto a sample whose subsets are the
+    only queries a run will make.
     """
 
-    family: PlantedFamily
+    family: PlantedFamily | FamilyProjection
     p_fn: float = 0.0
 
     def __post_init__(self):

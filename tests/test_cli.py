@@ -171,6 +171,26 @@ class TestStats:
         ]) == 0
         assert recomputed.read_bytes() == (out / "summary.csv").read_bytes()
 
+    def test_record_without_positives_is_validation_error(
+        self, family_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        assert run_cli([
+            "run", "--family", str(family_file), "--a0", "8",
+            "--runs", "5", "--seed", "11", "-o", str(out),
+        ]) == 0
+        lines = (out / "runs.jsonl").read_text().splitlines()
+        rec = json.loads(lines[2])
+        del rec["positives"]
+        lines[2] = json.dumps(rec)
+        log = tmp_path / "broken.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["stats", "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "broken.jsonl:3:" in err and "'positives'" in err
+
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli(["stats", "--log", str(tmp_path / "nope.jsonl")]) == 3
 

@@ -1,23 +1,35 @@
 """Paired runs, amortization, summaries, and output determinism."""
 
+import dataclasses
 import io
+import json
 import random
 
 import pytest
 
 from groupsight import (
+    ROLE_INIT,
+    ROLE_INIT_NOISE,
+    ROLE_RC,
+    ROLE_SIGHT,
     ExperimentConfig,
     Oracle,
     PairResult,
+    RcConfig,
     RunOutcome,
     RunResult,
+    SightConfig,
     ValidationError,
     amortize,
     generate_family,
     run_experiment,
     run_pair,
+    run_rc,
+    run_sight,
+    spawn_generator,
     summarize_cell,
 )
+from groupsight import harness
 from groupsight import TestLedger as Ledger
 from groupsight.harness import (
     csv_header,
@@ -118,6 +130,42 @@ class TestRunPair:
             )
             agreements += pair.sight.outcome is RunOutcome.ABORT_INITIAL
         assert 0 < agreements < 120
+
+    def test_matches_samplers_run_on_the_full_oracle(self):
+        # A pair answers from the family projected onto its initial sample
+        # and shares one initial-test noise draw between its two sides;
+        # each side must still equal that sampler run alone on the full
+        # family with its own INIT and INIT_NOISE generators.
+        fam = generate_family(60, {2: 10, 3: 10, 5: 300}, seed=31)
+        cfg = ExperimentConfig(
+            a0_grid=(8, 16, 32), runs_per_cell=1, p_fn=0.05, master_seed=7
+        )
+        oracle = Oracle(fam, cfg.p_fn)
+        seed = cfg.master_seed
+        outcomes = set()
+        for a0 in cfg.a0_grid:
+            for j in range(100):
+                pair = run_pair(fam, cfg, a0, j)
+                sight = run_sight(
+                    fam.universe_size,
+                    SightConfig(a0, cfg.k_min, cfg.k_max),
+                    oracle,
+                    spawn_generator(seed, a0, j, ROLE_SIGHT),
+                    init_rng=spawn_generator(seed, a0, j, ROLE_INIT),
+                    init_noise_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
+                )
+                rc = run_rc(
+                    fam.universe_size,
+                    RcConfig(a0, cfg.k_min, cfg.k_max, cfg.t_max),
+                    oracle,
+                    spawn_generator(seed, a0, j, ROLE_RC),
+                    init_rng=spawn_generator(seed, a0, j, ROLE_INIT),
+                    init_noise_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
+                )
+                assert pair.sight == sight
+                assert pair.rc == rc
+                outcomes.update((pair.sight.outcome, pair.rc.outcome))
+        assert outcomes == set(RunOutcome)
 
     def test_unique_minimal_set_forces_identical_finds(self):
         fam = make_family(16, [{0, 1}])
@@ -229,6 +277,38 @@ class TestExperimentOutputs:
         )
         assert threaded.cells == baseline.cells
         assert threaded.summaries == baseline.summaries
+
+    def test_one_worker_pool_serves_every_cell(self, family, config, monkeypatch):
+        starts = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        threaded = run_experiment(family, dataclasses.replace(config, threads=2))
+        assert starts == [2]
+        baseline = run_experiment(family, config)
+        assert threaded.cells == baseline.cells
+        assert threaded.summaries == baseline.summaries
+
+    def test_malformed_run_record_names_its_line(self, family, config, tmp_path):
+        result = run_experiment(family, config)
+        log = io.StringIO()
+        write_run_log(log, result)
+        lines = log.getvalue().splitlines()
+        path = tmp_path / "runs.jsonl"
+        for key, value in (("positives", None), ("negatives", "3"), ("seed", 1.5)):
+            rec = json.loads(lines[4])
+            if value is None:
+                del rec[key]
+            else:
+                rec[key] = value
+            broken = lines[:4] + [json.dumps(rec)] + lines[5:]
+            path.write_text("\n".join(broken) + "\n")
+            with pytest.raises(ValidationError, match=f"runs.jsonl:5: .*'{key}'"):
+                read_run_log(path)
 
     def test_run_log_round_trips_through_reader(self, family, config, tmp_path):
         result = run_experiment(family, config)

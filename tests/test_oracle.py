@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -22,7 +23,12 @@ from groupsight import (
 )
 from groupsight import TestLedger as Ledger
 
-from conftest import brute_is_antichain, brute_truth, make_family
+from conftest import (
+    brute_is_antichain,
+    brute_truth,
+    make_family,
+    random_antichain_family,
+)
 
 
 class TestGenerateFamily:
@@ -120,6 +126,75 @@ class TestContainsDefective:
         assert fam.contains_defective(s) == brute_truth(fam.planted, s)
         if fam.contains_defective(s):
             assert fam.contains_defective(t)
+
+
+class TestProjection:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_truth_matches_brute_force_on_subsets_of_the_sample(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        n = rng.randrange(5, 30)
+        fam = random_antichain_family(
+            rng, n, max_sets=data.draw(st.integers(0, 25)), sizes=(2, 3, 4, 5)
+        )
+        s = rng.sample(range(n), data.draw(st.integers(0, n)))
+        proj = fam.project(s)
+        assert proj.nodes == frozenset(s)
+        assert sorted(map(sorted, proj.sets)) == sorted(
+            list(p) for p in fam.planted if set(p) <= set(s)
+        )
+        assert [len(p) for p in proj.sets] == sorted(len(p) for p in proj.sets)
+        for _ in range(20):
+            q = rng.sample(s, rng.randrange(len(s) + 1))
+            assert proj.contains_defective(q) == brute_truth(fam.planted, q)
+        outside = [v for v in range(n) if v not in s]
+        if outside:
+            q = s[: rng.randrange(len(s) + 1)] + [rng.choice(outside)]
+            with pytest.raises(ValidationError):
+                proj.contains_defective(q)
+
+    def test_empty_family(self):
+        proj = generate_family(10, {}, seed=0).project([1, 4, 7])
+        assert proj.sets == ()
+        assert not proj.contains_defective([1, 4, 7])
+
+    def test_sample_holding_no_planted_set(self):
+        fam = make_family(10, [{0, 1}, {2, 3, 4}, {5, 6, 7, 8, 9}])
+        proj = fam.project([0, 2, 3, 5, 6, 7, 8])
+        assert proj.sets == ()
+        assert not proj.contains_defective([0, 2, 3, 5, 6, 7, 8])
+
+    def test_sample_out_of_range_rejected(self):
+        fam = make_family(10, [{0, 1}])
+        for bad in ([0, 10], [-1, 3]):
+            with pytest.raises(ValidationError):
+                fam.project(bad)
+
+    def test_oracle_over_projection_charges_and_rejects_like_the_full_one(self):
+        fam = make_family(12, [{0, 1}, {2, 3, 4}, {6, 7}])
+        s = [0, 1, 2, 3, 4, 5]
+        full, local = Oracle(fam, p_fn=0.3), Oracle(fam.project(s), p_fn=0.3)
+        pyrng = random.Random(5)
+        full_ledger, local_ledger = Ledger(), Ledger()
+        full_rng, local_rng = spawn_generator(8, 0), spawn_generator(8, 0)
+        for _ in range(300):
+            q = pyrng.sample(s, pyrng.randrange(len(s) + 1))
+            assert full.is_defective(q, full_ledger, full_rng) == local.is_defective(
+                q, local_ledger, local_rng
+            )
+        assert full_ledger == local_ledger
+        with pytest.raises(ValidationError):
+            local.is_defective([0, 6, 7], local_ledger, local_rng)
+        assert full_ledger == local_ledger
+
+    def test_pickle_drops_lazy_structures(self):
+        fam = generate_family(40, {2: 6, 3: 4, 5: 10}, seed=9)
+        fam.index()
+        fam.project(range(20))
+        clone = pickle.loads(pickle.dumps(fam))
+        assert clone._index is None and clone._tiers is None
+        assert clone == fam
+        assert clone.project(range(20)).sets == fam.project(range(20)).sets
 
 
 class TestIsDefective:
@@ -247,6 +322,16 @@ class TestSerialization:
             "seed": None,
         }))
         with pytest.raises(ValidationError):
+            PlantedFamily.load(path)
+
+    def test_load_rejects_pair_nested_in_five_set(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({
+            "universe_size": 10,
+            "planted": [[0, 1, 4, 6, 8], [3, 5], [4, 8]],
+            "seed": None,
+        }))
+        with pytest.raises(ValidationError, match=r"offending set \(0, 1, 4, 6, 8\)"):
             PlantedFamily.load(path)
 
     def test_family_validates_members(self):
