@@ -193,16 +193,12 @@ def run_cell(
 ) -> list[PairResult]:
     """All paired runs of one cell, in pair-id order.
 
-    With more than one thread the pairs run on `pool`, whose workers
-    must have been started for this family and config; without one, a
-    pool is started for this cell alone.
+    The pairs run on `pool` when one is given, a pool started by
+    `_start_pool` for this family and config; otherwise in this process.
     """
     runs = config.runs_per_cell
-    if config.threads <= 1:
-        return [run_pair(family, config, a0, j) for j in range(runs)]
     if pool is None:
-        with _start_pool(family, config) as own_pool:
-            return run_cell(family, config, a0, own_pool)
+        return [run_pair(family, config, a0, j) for j in range(runs)]
     chunk = max(1, -(-runs // (config.threads * 4)))
     futures = [
         pool.submit(_run_chunk, a0, start, min(start + chunk, runs))
