@@ -177,14 +177,6 @@ def _run_chunk(a0: int, start: int, stop: int) -> list[PairResult]:
     return [run_pair(_worker_family, _worker_config, a0, j) for j in range(start, stop)]
 
 
-def _start_pool(family: PlantedFamily, config: ExperimentConfig) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=config.threads,
-        initializer=_init_worker,
-        initargs=(family, config),
-    )
-
-
 def run_cell(
     family: PlantedFamily,
     config: ExperimentConfig,
@@ -193,8 +185,9 @@ def run_cell(
 ) -> list[PairResult]:
     """All paired runs of one cell, in pair-id order.
 
-    The pairs run on `pool` when one is given, a pool started by
-    `_start_pool` for this family and config; otherwise in this process.
+    The pairs run on `pool` when one is given, a pool whose workers
+    `_init_worker` set up with this family and config; otherwise in this
+    process.
     """
     runs = config.runs_per_cell
     if pool is None:
@@ -364,7 +357,15 @@ def run_experiment(family: PlantedFamily, config: ExperimentConfig) -> Experimen
     summaries: list[CellSummary] = []
     # One worker pool serves every cell, so each worker receives the
     # family once.
-    with _start_pool(family, config) if config.threads > 1 else nullcontext() as pool:
+    if config.threads > 1:
+        workers = ProcessPoolExecutor(
+            max_workers=config.threads,
+            initializer=_init_worker,
+            initargs=(family, config),
+        )
+    else:
+        workers = nullcontext()
+    with workers as pool:
         for a0 in config.a0_grid:
             pairs = run_cell(family, config, a0, pool)
             cells[a0] = pairs
