@@ -341,6 +341,37 @@ class TestSerialization:
             PlantedFamily(universe_size=4, planted=((2,),))
 
 
+class TestFamilyChecks:
+    """Each family with one defect raises the same error, whatever builds it."""
+
+    SIZE = (InvalidKError, "planted sets must have size >= 2")
+    ORDER = (ValidationError, "planted sets must be strictly ascending")
+    RANGE = (ValidationError, "planted set member out of range")
+
+    @pytest.mark.parametrize(
+        "universe_size, planted, expected",
+        [
+            pytest.param(10, ((0, 1), (3,), (4, 5, 6)), SIZE, id="size-1"),
+            pytest.param(10, ((0, 1), ()), SIZE, id="empty-set"),
+            pytest.param(10, ((0, 1), (2, 5, 4)), ORDER, id="descending"),
+            pytest.param(10, ((2, 3, 3, 7), (0, 1)), ORDER, id="repeated-member"),
+            pytest.param(10, ((4, 5), (-1, 2, 3)), RANGE, id="negative-member"),
+            pytest.param(10, ((0, 1), (2, 10)), RANGE, id="member-equals-n"),
+            pytest.param(1000, ((3, 4), (5, 70_000)), RANGE, id="member-70000"),
+        ],
+    )
+    def test_single_defect(self, universe_size, planted, expected):
+        exc_type, message = expected
+        with pytest.raises(ValidationError) as info:
+            PlantedFamily(universe_size=universe_size, planted=planted)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
+
+    def test_nonpositive_universe(self):
+        with pytest.raises(ValidationError, match="^universe_size must be positive$"):
+            PlantedFamily(universe_size=0, planted=())
+
+
 class TestExpectationLaw:
     def test_monte_carlo_mean_matches_closed_form(self):
         fam = make_family(12, [{0, 1}, {2, 3}, {4, 5}])
