@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import IO, Optional, Sequence
 
 from .errors import ValidationError
-from .oracle import Oracle, PlantedFamily, TestLedger, sample
+from .oracle import Oracle, PlantedFamily, TestLedger, _is_int, sample
 from .rc import RcConfig, run_rc
 from .results import RunOutcome, RunResult
 from .rng import ROLE_INIT, ROLE_INIT_NOISE, ROLE_RC, ROLE_SIGHT, spawn_generator
@@ -441,10 +441,6 @@ def write_summary_csv(
         stream.write(",".join(summary_row(summary, rhos)) + "\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     """(a0, pair id, result) of one run-log line; ValueError if malformed."""
     rec = json.loads(line)
@@ -483,11 +479,15 @@ def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[Pair
 
     Returns the a0 grid in first-appearance order and the pairs per cell.
     Records are expected in pair order, deterministic-sampler record
-    first within each pair. A malformed record raises ValidationError
-    naming its line.
+    first within each pair. Every cell must hold pairs 0..n-1 with one
+    record per algorithm, and every cell the same n. A malformed record,
+    a repeated (a0, seed, algorithm) record, a gap in pair ids or a cell
+    of a different length raises ValidationError naming a line.
     """
     grid: list[int] = []
     cells: dict[int, dict[int, dict[str, RunResult]]] = {}
+    first_line: dict[tuple[int, int], int] = {}
+    last_line: dict[int, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -498,18 +498,38 @@ def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[Pair
         if a0 not in cells:
             cells[a0] = {}
             grid.append(a0)
-        cells[a0].setdefault(pair_id, {})[res.algorithm] = res
+        sides = cells[a0].setdefault(pair_id, {})
+        if res.algorithm in sides:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate {res.algorithm} record of pair "
+                f"{pair_id} (a0={a0})"
+            )
+        sides[res.algorithm] = res
+        first_line.setdefault((a0, pair_id), lineno)
+        last_line[a0] = lineno
     pairs_by_a0: dict[int, list[PairResult]] = {}
     for a0 in grid:
         pairs = []
-        for pair_id in sorted(cells[a0]):
+        for expected, pair_id in enumerate(sorted(cells[a0])):
+            lineno = first_line[a0, pair_id]
+            if pair_id != expected:
+                raise ValidationError(
+                    f"{path}:{lineno}: pair ids of a0={a0} skip from "
+                    f"{expected - 1} to {pair_id}"
+                )
             sides = cells[a0][pair_id]
             if "sight" not in sides or "rc" not in sides:
                 raise ValidationError(
-                    f"run log pair {pair_id} (a0={a0}) is missing one algorithm"
+                    f"{path}:{lineno}: run log pair {pair_id} (a0={a0}) is "
+                    "missing one algorithm"
                 )
             pairs.append(
                 PairResult(pair_id=pair_id, sight=sides["sight"], rc=sides["rc"])
             )
         pairs_by_a0[a0] = pairs
+        if len(pairs) != len(pairs_by_a0[grid[0]]):
+            raise ValidationError(
+                f"{path}:{last_line[a0]}: cell a0={a0} has {len(pairs)} pairs, "
+                f"cell a0={grid[0]} has {len(pairs_by_a0[grid[0]])}"
+            )
     return tuple(grid), pairs_by_a0

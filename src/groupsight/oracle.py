@@ -69,9 +69,10 @@ class PlantedFamily:
     """Immutable ground truth: the antichain of minimal defective sets.
 
     `planted` holds canonical (strictly ascending) tuples over the node
-    range [0, universe_size). The subset-query index and the per-size
-    arrays behind `project` are built lazily and never pickled; worker
-    processes rebuild them on first use.
+    range [0, universe_size). Construction checks them on the row store
+    behind `project` (see `_row_store`), which it builds once and keeps
+    in `_tiers`. The store and the subset-query index are never pickled;
+    worker processes rebuild them on first use.
     """
 
     universe_size: int
@@ -83,13 +84,9 @@ class PlantedFamily:
     def __post_init__(self):
         if self.universe_size < 1:
             raise ValidationError("universe_size must be positive")
-        for p in self.planted:
-            if len(p) < 2:
-                raise InvalidKError("planted sets must have size >= 2")
-            if any(b <= a for a, b in zip(p, p[1:])):
-                raise ValidationError("planted sets must be strictly ascending")
-            if p[0] < 0 or p[-1] >= self.universe_size:
-                raise ValidationError("planted set member out of range")
+        object.__setattr__(
+            self, "_tiers", _row_store(self.universe_size, self.planted)
+        )
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -107,53 +104,36 @@ class PlantedFamily:
             object.__setattr__(self, "_index", idx)
         return self._index
 
-    def _size_tiers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per planted size, ascending: (rows, starts), built on first use.
-
-        `rows` holds the size's sets one per row, grouped by minimum
-        member: rows[starts[v]:starts[v + 1]] are the sets whose minimum
-        is v.
-        """
+    def _rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The row store, rebuilt after unpickling."""
         if self._tiers is None:
-            dtype = np.min_scalar_type(self.universe_size)
-            tiers = []
-            for k, count in self.counts_by_k.items():
-                rows = np.fromiter(
-                    chain.from_iterable(p for p in self.planted if len(p) == k),
-                    dtype=dtype,
-                    count=k * count,
-                ).reshape(count, k)
-                # Generated and saved families list each size in order.
-                if (rows[1:, 0] < rows[:-1, 0]).any():
-                    rows = rows[np.argsort(rows[:, 0], kind="stable")]
-                starts = np.zeros(self.universe_size + 1, dtype=np.intp)
-                np.cumsum(
-                    np.bincount(rows[:, 0], minlength=self.universe_size),
-                    out=starts[1:],
-                )
-                tiers.append((rows, starts))
-            object.__setattr__(self, "_tiers", tuple(tiers))
+            object.__setattr__(
+                self, "_tiers", _row_store(self.universe_size, self.planted)
+            )
         return self._tiers
 
     def project(self, nodes: Sequence[int]) -> FamilyProjection:
-        """The planted sets lying inside `nodes`, for queries on its subsets."""
+        """The planted sets lying inside `nodes`, for queries on its subsets.
+
+        One gather takes the rows whose minimum is in `nodes`, of every
+        size at once; each further column then keeps the rows whose
+        member there is in `nodes` too. The sets come smallest first.
+        """
         given = np.array(nodes, dtype=np.intp)
         if given.size and (given.min() < 0 or given.max() >= self.universe_size):
             raise ValidationError("node out of range")
         inside = np.zeros(self.universe_size, dtype=bool)
         inside[given] = True
         members = np.flatnonzero(inside)
-        sets: list[frozenset[int]] = []
-        for rows, starts in self._size_tiers():
-            # Gather the rows whose minimum is in `nodes`, then keep those
-            # whose other members are too, one column at a time.
-            lo = starts[members]
-            counts = starts[members + 1] - lo
-            offsets = np.cumsum(counts) - counts
-            picked = np.arange(counts.sum()) + np.repeat(lo - offsets, counts)
-            for col in range(1, rows.shape[1]):
-                picked = picked[inside[rows[picked, col]]]
-            sets.extend(map(frozenset, rows[picked].tolist()))
+        columns, starts = self._rows()
+        lo = starts.take(members)
+        counts = starts.take(members + 1) - lo
+        offsets = np.cumsum(counts) - counts
+        picked = np.arange(counts.sum()) + np.repeat(lo - offsets, counts)
+        for col in columns[1:]:
+            picked = picked.compress(inside.take(col.take(picked)))
+        rows = zip(*(col.take(picked).tolist() for col in columns))
+        sets = sorted(map(frozenset, rows), key=len)
         return FamilyProjection(frozenset(members.tolist()), tuple(sets))
 
     @property
@@ -201,17 +181,20 @@ class PlantedFamily:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PlantedFamily":
+        """Family of a JSON record; every number in it must be an exact integer."""
         try:
-            universe_size = int(data["universe_size"])
-            planted = tuple(tuple(int(v) for v in p) for p in data["planted"])
+            universe_size = data["universe_size"]
+            planted = tuple(tuple(p) for p in data["planted"])
             seed = data.get("seed")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed family record: {exc}") from exc
-        fam = cls(
-            universe_size=universe_size,
-            planted=planted,
-            seed=None if seed is None else int(seed),
-        )
+        if not _is_int(universe_size):
+            raise ValidationError("family record 'universe_size' is not an integer")
+        if not all(map(_is_int, chain.from_iterable(planted))):
+            raise ValidationError("family record 'planted' has a non-integer member")
+        if seed is not None and not _is_int(seed):
+            raise ValidationError("family record 'seed' is not null or an integer")
+        fam = cls(universe_size=universe_size, planted=planted, seed=seed)
         fam.validate_antichain()
         return fam
 
@@ -221,6 +204,73 @@ class PlantedFamily:
     @classmethod
     def load(cls, path: str | Path) -> "PlantedFamily":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _is_int(value) -> bool:
+    """An exact integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _row_store(
+    universe_size: int, planted: Sequence[KSet]
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(columns, starts) of the planted sets, after checking each one.
+
+    Row i of `columns` is one planted set, padded to the largest size by
+    repeating its last member, so `frozenset(row)` is the set. Rows are
+    grouped by minimum member: rows starts[v]:starts[v + 1] are the sets
+    whose minimum is v. Each column is a contiguous array of the smallest
+    unsigned type holding universe_size.
+
+    The first planted set that is smaller than 2, not strictly ascending
+    or out of range raises, with the first of those checks it fails.
+    """
+    sizes = np.fromiter(map(len, planted), dtype=np.intp, count=len(planted))
+    ends = np.cumsum(sizes)
+    # A member outside the column type is out of range; int64 holds it
+    # for the checks below, which name the first offending set.
+    for dtype in (np.min_scalar_type(universe_size), np.int64):
+        try:
+            flat = np.fromiter(
+                chain.from_iterable(planted),
+                dtype=dtype,
+                count=int(ends[-1]) if ends.size else 0,
+            )
+            break
+        except OverflowError:
+            pass
+    else:
+        raise ValidationError("planted set member out of range")
+
+    def owner(positions: np.ndarray) -> np.ndarray:
+        return np.searchsorted(ends, positions, side="right")
+
+    falls = np.flatnonzero(flat[1:] <= flat[:-1])
+    left, right = owner(falls), owner(falls + 1)
+    checks = (
+        (np.flatnonzero(sizes < 2),
+         InvalidKError, "planted sets must have size >= 2"),
+        (left[left == right],
+         ValidationError, "planted sets must be strictly ascending"),
+        (owner(np.flatnonzero((flat < 0) | (flat >= universe_size))),
+         ValidationError, "planted set member out of range"),
+    )
+    failed = [(bad[0], rank) for rank, (bad, _, _) in enumerate(checks) if bad.size]
+    if failed:
+        _, exc, message = checks[min(failed)[1]]
+        raise exc(message)
+
+    heads = ends - sizes
+    order = np.argsort(flat[heads], kind="stable")
+    heads, last = heads[order], ends[order] - 1
+    columns = tuple(
+        flat.take(np.minimum(heads + j, last))
+        for j in range(int(sizes.max()) if sizes.size else 0)
+    )
+    starts = np.zeros(universe_size + 1, dtype=np.intp)
+    if columns:
+        np.cumsum(np.bincount(columns[0], minlength=universe_size), out=starts[1:])
+    return columns, starts
 
 
 def _not_antichain(p: KSet) -> ValidationError:
@@ -293,7 +343,9 @@ def sample(pool: Sequence[int], count: int, rng: np.random.Generator) -> list[in
         raise SampleSizeError(f"cannot sample {count} elements from a pool of {n}")
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    idx = rng.choice(n, size=count, replace=False)
+    idx = rng.choice(n, size=count, replace=False).tolist()
+    if isinstance(pool, range) and pool.start == 0 and pool.step == 1:
+        return idx
     return [int(pool[i]) for i in idx]
 
 
@@ -331,7 +383,8 @@ def generate_family(
 
     rng = spawn_generator(seed, ROLE_FAMILY)
     accepted: list[KSet] = []
-    universe = range(universe_size)
+    # One int object per node, shared by every planted set.
+    universe = list(range(universe_size))
     for k in sorted(counts):
         target = counts[k]
         # Accepted smaller sizes are frozen; index them once per tier.

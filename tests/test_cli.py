@@ -136,6 +136,36 @@ class TestRun:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("universe_size", 10.9),
+            ("universe_size", True),
+            ("member", 1.7),
+            ("member", True),
+            ("seed", 2.5),
+            ("seed", False),
+        ],
+    )
+    def test_inexact_integer_in_family_file_is_validation_error(
+        self, tmp_path, capsys, key, value
+    ):
+        data = {"universe_size": 10, "planted": [[0, 1], [2, 3, 4]], "seed": 3}
+        if key == "member":
+            data["planted"][1][0] = value
+        else:
+            data[key] = value
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = run_cli([
+            "run", "--family", str(fam), "--a0", "8",
+            "--runs", "5", "-o", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "integer" in err
+
     def test_config_file_with_flag_override(self, family_file, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
@@ -190,6 +220,31 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "broken.jsonl:3:" in err and "'positives'" in err
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (lambda ls: ls[:3] + [ls[2]] + ls[3:], 4),
+            (lambda ls: ls[:2] + ls[4:], 3),
+            (lambda ls: ls[:-2], 18),
+        ],
+        ids=["duplicate", "gap", "unequal-cells"],
+    )
+    def test_altered_pairs_are_validation_errors(
+        self, family_file, tmp_path, capsys, mutate, line
+    ):
+        out = tmp_path / "out"
+        assert run_cli([
+            "run", "--family", str(family_file), "--a0", "8,16",
+            "--runs", "5", "--seed", "11", "-o", str(out),
+        ]) == 0
+        lines = (out / "runs.jsonl").read_text().splitlines()
+        log = tmp_path / "altered.jsonl"
+        log.write_text("\n".join(mutate(lines)) + "\n")
+        capsys.readouterr()
+        assert run_cli(["stats", "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"altered.jsonl:{line}:" in err
 
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli(["stats", "--log", str(tmp_path / "nope.jsonl")]) == 3

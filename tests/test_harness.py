@@ -310,6 +310,31 @@ class TestExperimentOutputs:
             with pytest.raises(ValidationError, match=f"runs.jsonl:5: .*'{key}'"):
                 read_run_log(path)
 
+    @pytest.mark.parametrize(
+        "mutate, line, message",
+        [
+            # A copy of line 5 right after it: (a0, seed, algorithm) repeats.
+            (lambda ls: ls[:5] + [ls[4]] + ls[5:], 6, "duplicate"),
+            # Pair 3 of the first cell dropped: pair 4 now starts on line 7.
+            (lambda ls: ls[:6] + ls[8:], 7, "pair ids of a0=8 skip from 2 to 4"),
+            # The last pair of the last cell dropped.
+            (lambda ls: ls[:-2], 318, "79 pairs"),
+        ],
+        ids=["duplicate", "gap", "unequal-cells"],
+    )
+    def test_run_log_gaps_and_repeats_name_their_line(
+        self, family, config, tmp_path, mutate, line, message
+    ):
+        result = run_experiment(family, config)
+        log = io.StringIO()
+        write_run_log(log, result)
+        lines = log.getvalue().splitlines()
+        assert len(lines) == 320
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(mutate(lines)) + "\n")
+        with pytest.raises(ValidationError, match=f"runs.jsonl:{line}: .*{message}"):
+            read_run_log(path)
+
     def test_run_log_round_trips_through_reader(self, family, config, tmp_path):
         result = run_experiment(family, config)
         path = tmp_path / "runs.jsonl"

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,6 +188,25 @@ class TestProjection:
             local.is_defective([0, 6, 7], local_ledger, local_rng)
         assert full_ledger == local_ledger
 
+    def test_mixed_sizes_in_any_order_match_brute_force(self):
+        # Sizes 2 to 5 interleaved, minimum members out of order.
+        planted = (
+            (3, 9, 14, 20, 25), (0, 7), (5, 6, 11), (1, 8, 12, 19),
+            (2, 10, 13, 21, 29), (0, 15, 22), (4, 16, 23, 27), (1, 17),
+            (6, 12, 18, 24, 28), (2, 11, 26), (3, 5),
+        )
+        fam = make_family(30, planted)
+        pyrng = random.Random(41)
+        for _ in range(300):
+            s = pyrng.sample(range(30), pyrng.randrange(31))
+            proj = fam.project(s)
+            inside = [frozenset(p) for p in planted if set(p) <= set(s)]
+            assert set(proj.sets) == set(inside)
+            assert len(proj.sets) == len(inside)
+            assert [len(p) for p in proj.sets] == sorted(len(p) for p in inside)
+            q = pyrng.sample(s, pyrng.randrange(len(s) + 1))
+            assert proj.contains_defective(q) == brute_truth(planted, q)
+
     def test_pickle_drops_lazy_structures(self):
         fam = generate_family(40, {2: 6, 3: 4, 5: 10}, seed=9)
         fam.index()
@@ -290,6 +310,26 @@ class TestSample:
     def test_count_exceeding_pool_raises(self):
         with pytest.raises(SampleSizeError):
             sample([1, 2, 3], 4, spawn_generator(0, 0))
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            range(60),
+            range(7, 67),
+            list(range(100, 160)),
+            tuple(range(0, 180, 3)),
+            np.arange(500, 560, dtype=np.uint16),
+        ],
+        ids=["range-n", "range-a-b", "list", "tuple", "ndarray"],
+    )
+    def test_draws_are_choice_on_positions(self, pool):
+        rng, ref = spawn_generator(23, 1), spawn_generator(23, 1)
+        for count in (0, 1, 5, 17, 60):
+            got = sample(pool, count, rng)
+            expected = [int(pool[i]) for i in ref.choice(len(pool), count, replace=False)]
+            assert got == expected
+            assert all(type(v) is int for v in got)
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
 class TestSerialization:
