@@ -514,8 +514,7 @@ def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[Pair
             lineno = first_line[a0, pair_id]
             if pair_id != expected:
                 raise ValidationError(
-                    f"{path}:{lineno}: pair ids of a0={a0} skip from "
-                    f"{expected - 1} to {pair_id}"
+                    f"{path}:{lineno}: cell a0={a0} has no pair {expected}"
                 )
             sides = cells[a0][pair_id]
             if "sight" not in sides or "rc" not in sides:

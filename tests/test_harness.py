@@ -316,7 +316,7 @@ class TestExperimentOutputs:
             # A copy of line 5 right after it: (a0, seed, algorithm) repeats.
             (lambda ls: ls[:5] + [ls[4]] + ls[5:], 6, "duplicate"),
             # Pair 3 of the first cell dropped: pair 4 now starts on line 7.
-            (lambda ls: ls[:6] + ls[8:], 7, "pair ids of a0=8 skip from 2 to 4"),
+            (lambda ls: ls[:6] + ls[8:], 7, "a0=8 has no pair 3"),
             # The last pair of the last cell dropped.
             (lambda ls: ls[:-2], 318, "79 pairs"),
         ],
