@@ -1,36 +1,78 @@
-"""Kernel backend selection.
+"""Subset-query index over a whole planted family.
 
-The compiled `_kernel` extension is preferred when built; the pure-Python
-`_kernel_py` module is the drop-in fallback. Set GROUPSIGHT_PURE=1 to
-force the fallback (used by the backend benchmark and tests). Both
-backends are required to return identical answers for identical inputs,
-so everything downstream is backend-agnostic.
+An immutable index answering "does this node set contain a planted
+set?" and "how many planted k-sets lie fully inside this node set?".
+Candidate sets are bucketed by their minimum member so a query only
+inspects sets whose minimum lies in the queried nodes. It serves family
+generation and the public full-family queries; paired runs answer from
+`PlantedFamily.project` instead.
 """
 
 from __future__ import annotations
 
-import os
+from collections.abc import Iterable, Sequence
 
-_force_pure = os.environ.get("GROUPSIGHT_PURE", "") not in ("", "0")
+_EMPTY: tuple = ()
 
-if _force_pure:
-    from ._kernel_py import FamilyIndex
 
-    BACKEND = "pure"
-else:
-    try:
-        from ._kernel import FamilyIndex  # type: ignore[no-redef]
+class FamilyIndex:
+    """Subset-containment index over a family of small node sets."""
 
-        BACKEND = "compiled"
-    except ImportError:
-        from ._kernel_py import FamilyIndex  # type: ignore[no-redef]
+    __slots__ = ("universe_size", "n_sets", "_by_min")
 
-        BACKEND = "pure"
+    def __init__(self, universe_size: int, planted: Iterable[Sequence[int]]):
+        if universe_size < 0:
+            raise ValueError("universe_size must be nonnegative")
+        by_min: dict[int, list[frozenset[int]]] = {}
+        n_sets = 0
+        for members in planted:
+            prev = -1
+            for v in members:
+                if v <= prev:
+                    raise ValueError("planted sets must be strictly ascending")
+                prev = v
+            if prev < 0:
+                raise ValueError("planted sets must be nonempty")
+            if prev >= universe_size:
+                raise ValueError("planted set member out of range")
+            by_min.setdefault(members[0], []).append(frozenset(members))
+            n_sets += 1
+        # Small sets first so positive queries exit early.
+        for bucket in by_min.values():
+            bucket.sort(key=len)
+        self.universe_size = universe_size
+        self.n_sets = n_sets
+        self._by_min = by_min
+
+    def contains_defective(self, nodes: Sequence[int]) -> bool:
+        """True iff some planted set is a subset of `nodes`."""
+        present = frozenset(nodes)
+        if present and (min(present) < 0 or max(present) >= self.universe_size):
+            raise ValueError("node out of range")
+        by_min = self._by_min
+        for v in present:
+            for p in by_min.get(v, _EMPTY):
+                if p <= present:
+                    return True
+        return False
+
+    def count_contained(self, nodes: Sequence[int], k: int) -> int:
+        """Number of planted k-sets lying fully inside `nodes`."""
+        present = frozenset(nodes)
+        if present and (min(present) < 0 or max(present) >= self.universe_size):
+            raise ValueError("node out of range")
+        by_min = self._by_min
+        count = 0
+        for v in present:
+            for p in by_min.get(v, _EMPTY):
+                if len(p) == k and p <= present:
+                    count += 1
+        return count
 
 
 def active_backend() -> str:
-    """Name of the kernel backend in use: "compiled" or "pure"."""
-    return BACKEND
+    """Name of the subset-query implementation; there is only "pure"."""
+    return "pure"
 
 
-__all__ = ["FamilyIndex", "active_backend", "BACKEND"]
+__all__ = ["FamilyIndex", "active_backend"]

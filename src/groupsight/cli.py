@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .backend import active_backend
 from .bounds import rc_max_positive, rc_max_tests, sight_max_positive, sight_max_tests
 from .errors import ValidationError
 from .harness import (
@@ -177,7 +176,6 @@ def cmd_run(args) -> int:
         "rho": list(config.rhos),
         "label": config.label,
         "threads": config.threads,
-        "backend": active_backend(),
     }
     (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
     with open(out / "runs.jsonl", "w") as fh:
@@ -241,6 +239,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ValueError as exc:  # malformed input files and the like
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # an input too large to hold, e.g. universe_size
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -392,17 +392,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def csv_header(rhos: Sequence[float] = DEFAULT_RHOS) -> list[str]:
+def csv_header(rhos: Sequence[float] = DEFAULT_RHOS, k_top: int = 4) -> list[str]:
+    """Summary CSV columns, with found-size proportions p2..p{k_top}."""
     cols = [
         "algorithm", "a0", "T_label", "finds", "init_fail_rate", "abort_rate",
-        "med_pos", "med_neg", "med_total", "p2", "p3", "p4", "prop_identical",
+        "med_pos", "med_neg", "med_total",
     ]
+    cols.extend(f"p{k}" for k in range(2, k_top + 1))
+    cols.append("prop_identical")
     cols.extend(f"cost_r{rho:g}" for rho in rhos)
     cols.extend(["U", "p_value", "U_pos", "p_value_pos", "U_neg", "p_value_neg"])
     return cols
 
 
-def summary_row(summary: CellSummary, rhos: Sequence[float]) -> list[str]:
+def summary_row(
+    summary: CellSummary, rhos: Sequence[float], k_top: int = 4
+) -> list[str]:
     row = [
         summary.algorithm,
         str(summary.a0),
@@ -413,11 +418,9 @@ def summary_row(summary: CellSummary, rhos: Sequence[float]) -> list[str]:
         _fmt(summary.med_pos),
         _fmt(summary.med_neg),
         _fmt(summary.med_total),
-        _fmt(summary.k_proportions.get(2)) if summary.finds else "",
-        _fmt(summary.k_proportions.get(3)) if summary.finds else "",
-        _fmt(summary.k_proportions.get(4)) if summary.finds else "",
-        _fmt(summary.prop_identical),
     ]
+    row.extend(_fmt(summary.k_proportions.get(k)) for k in range(2, k_top + 1))
+    row.append(_fmt(summary.prop_identical))
     for rho in rhos:
         row.append(_fmt(summary.costs.get(float(rho))))
     row.extend(
@@ -436,9 +439,11 @@ def write_summary_csv(
     summaries: Sequence[CellSummary],
     rhos: Sequence[float] = DEFAULT_RHOS,
 ) -> None:
-    stream.write(",".join(csv_header(rhos)) + "\n")
+    """Header and one row per summary; size columns reach the largest find."""
+    k_top = max([4, *(k for s in summaries for k in s.k_proportions)])
+    stream.write(",".join(csv_header(rhos, k_top)) + "\n")
     for summary in summaries:
-        stream.write(",".join(summary_row(summary, rhos)) + "\n")
+        stream.write(",".join(summary_row(summary, rhos, k_top)) + "\n")
 
 
 def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
@@ -447,25 +452,34 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     if not isinstance(rec, dict):
         raise ValueError("run record is not a JSON object")
     ints = ("positives", "negatives", "a0", "seed")
-    for key in ("algorithm", "outcome", "found_set", *ints):
+    keys = ("algorithm", "outcome", "found_set", "k", *ints)
+    if rec.get("algorithm") == "rc":
+        keys += ("abort_step",)
+    for key in keys:
         if key not in rec:
             raise ValueError(f"run record has no {key!r}")
     for key in ints:
-        if not _is_int(rec[key]):
-            raise ValueError(f"run record {key!r} is not an integer")
+        if not (_is_int(rec[key]) and rec[key] >= 0):
+            raise ValueError(f"run record {key!r} is not a nonnegative integer")
     if rec["algorithm"] not in ("sight", "rc"):
         raise ValueError(f"run record algorithm {rec['algorithm']!r} is unknown")
+    outcome = RunOutcome(rec["outcome"])
     found = rec["found_set"]
     if found is not None and not (
         isinstance(found, list) and all(_is_int(v) for v in found)
     ):
         raise ValueError("run record 'found_set' is not null or a list of integers")
+    if (found is not None) != (outcome is RunOutcome.FOUND):
+        raise ValueError(f"run record 'found_set' does not fit outcome {outcome.value}")
+    k = rec["k"]
+    if not (k is None if found is None else _is_int(k) and k == len(found)):
+        raise ValueError("run record 'k' is not the size of its 'found_set'")
     abort_step = rec.get("abort_step")
     if abort_step is not None and not _is_int(abort_step):
         raise ValueError("run record 'abort_step' is not null or an integer")
     res = RunResult(
         algorithm=rec["algorithm"],
-        outcome=RunOutcome(rec["outcome"]),
+        outcome=outcome,
         ledger=TestLedger(positives=rec["positives"], negatives=rec["negatives"]),
         a0=rec["a0"],
         found=None if found is None else tuple(found),

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+# Looked up as `backend.FamilyIndex` at each use, so a replaced class
+# (perfbench's tracer swaps in a timed subclass) takes effect.
 from . import backend
 from .errors import (
     InfeasibleCountsError,
@@ -98,7 +100,7 @@ class PlantedFamily:
         self.__dict__.update(state)
 
     def index(self):
-        """Backend subset-query index, built on first use."""
+        """Full-family subset-query index, built on first use."""
         if self._index is None:
             idx = backend.FamilyIndex(self.universe_size, self.planted)
             object.__setattr__(self, "_index", idx)
@@ -184,10 +186,13 @@ class PlantedFamily:
         """Family of a JSON record; every number in it must be an exact integer."""
         try:
             universe_size = data["universe_size"]
-            planted = tuple(tuple(p) for p in data["planted"])
+            planted = data["planted"]
             seed = data.get("seed")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed family record: {exc}") from exc
+        if not (isinstance(planted, list) and all(isinstance(p, list) for p in planted)):
+            raise ValidationError("family record 'planted' is not a list of lists")
+        planted = tuple(map(tuple, planted))
         if not _is_int(universe_size):
             raise ValidationError("family record 'universe_size' is not an integer")
         if not all(map(_is_int, chain.from_iterable(planted))):

@@ -1,13 +1,22 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from functools import reduce
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupsight import PlantedFamily
 from groupsight.cli import main
+from groupsight.harness import read_run_log
 
 
 def run_cli(argv):
@@ -166,6 +175,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "integer" in err
 
+    def test_unallocatable_family_is_validation_error(self, tmp_path):
+        # A billion-node universe needs gigabytes for the row store; the
+        # child's address space is capped so the allocation fails there.
+        resource = pytest.importorskip("resource")
+        fam = tmp_path / "huge.json"
+        fam.write_text(json.dumps(
+            {"universe_size": 10**9, "planted": [[0, 1]], "seed": None}
+        ))
+
+        def cap_address_space():
+            limit = 1 << 30
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupsight", "run", "--family", str(fam),
+             "--a0", "8", "--runs", "2", "-o", str(tmp_path / "o")],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_config_file_with_flag_override(self, family_file, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
@@ -195,6 +226,30 @@ class TestStats:
             "--runs", "50", "--seed", "11", "--label", "family",
             "-o", str(out),
         ]) == 0
+        recomputed = tmp_path / "summary2.csv"
+        assert run_cli([
+            "stats", "--log", str(out / "runs.jsonl"), "-o", str(recomputed),
+        ]) == 0
+        assert recomputed.read_bytes() == (out / "summary.csv").read_bytes()
+
+    def test_found_sizes_above_four_get_columns(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        assert run_cli([
+            "generate", "--n", "40", "--k2", "2", "--k5", "30", "--seed", "3",
+            "-o", str(fam),
+        ]) == 0
+        out = tmp_path / "out"
+        assert run_cli([
+            "run", "--family", str(fam), "--a0", "20", "--runs", "40",
+            "--kmax", "5", "--seed", "1", "--label", "family", "-o", str(out),
+        ]) == 0
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert columns[columns.index("p2"):columns.index("prop_identical")] == [
+            "p2", "p3", "p4", "p5",
+        ]
+        p5 = [float(row.split(",")[columns.index("p5")]) for row in rows]
+        assert all(p > 0 for p in p5)
         recomputed = tmp_path / "summary2.csv"
         assert run_cli([
             "stats", "--log", str(out / "runs.jsonl"), "-o", str(recomputed),
@@ -248,6 +303,126 @@ class TestStats:
 
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli(["stats", "--log", str(tmp_path / "nope.jsonl")]) == 3
+
+
+_DROP = object()
+_OTHER_TYPES = (None, True, 7, 2.5, "x", [], [3], {}, {"a": 1})
+
+
+def _paths(value, path=()):
+    """Paths to every value nested inside `value`, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_value(draw, data):
+    """`data` with one nested value dropped, retyped or, if an integer, altered."""
+    data = copy.deepcopy(data)
+    *head, last = draw(st.sampled_from(list(_paths(data))))
+    parent = reduce(lambda node, key: node[key], head, data)
+    value = parent[last]
+    options = [_DROP]
+    options.extend(v for v in _OTHER_TYPES if type(v) is not type(value))
+    if type(value) is int:
+        options.extend([value - 1, value + 1, float(value), False, str(value)])
+    choice = draw(st.sampled_from(options))
+    if choice is _DROP:
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(choice)
+    return data
+
+
+@st.composite
+def mutated_lines(draw, records):
+    """`records` with one record mutated, or one line duplicated, dropped or swapped."""
+    records = list(records)
+    kind = draw(st.sampled_from(["value", "duplicate", "drop", "swap"]))
+    i = draw(st.integers(0, len(records) - 1))
+    if kind == "value":
+        records[i] = draw(mutated_value(records[i]))
+    elif kind == "duplicate":
+        records.insert(i, records[i])
+    elif kind == "drop":
+        del records[i]
+    else:
+        j = draw(st.integers(0, len(records) - 1))
+        records[i], records[j] = records[j], records[i]
+    return records
+
+
+def cli_quietly(argv) -> tuple[int, str]:
+    """Exit code and stderr of the CLI; an uncaught exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def canonical(value) -> str:
+    """JSON text that tells 1, 1.0 and true apart."""
+    return json.dumps(value, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def run_log_records(family_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("log")
+    assert run_cli([
+        "run", "--family", str(family_file), "--a0", "16,40", "--runs", "4",
+        "--pfn", "0.05", "--seed", "1", "-o", str(out),
+    ]) == 0
+    return [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+
+
+class TestMutatedInputs:
+    """A mutated input either reads as exactly what it says or exits 2."""
+
+    FAMILY = {"universe_size": 12, "planted": [[0, 1], [1, 2, 3], [4, 5, 6, 7]],
+              "seed": 3}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=mutated_value(FAMILY))
+    def test_family_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            fam = Path(tmp) / "fam.json"
+            fam.write_text(json.dumps(data))
+            code, err = cli_quietly([
+                "run", "--family", str(fam), "--a0", "6", "--runs", "2",
+                "-o", str(Path(tmp) / "out"),
+            ])
+            if code == 0:
+                loaded = PlantedFamily.load(fam).to_json_dict()
+                assert canonical(loaded) == canonical({"seed": None, **data})
+            else:
+                assert code == 2 and err.startswith("error: "), err
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_run_log(self, run_log_records, data):
+        records = data.draw(mutated_lines(run_log_records))
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "runs.jsonl"
+            log.write_text("".join(json.dumps(r) + "\n" for r in records))
+            code, err = cli_quietly(["stats", "--log", str(log)])
+            if code == 0:
+                _, cells = read_run_log(log)
+                read = [
+                    res.to_record(pair.pair_id)
+                    for pairs in cells.values()
+                    for pair in pairs
+                    for res in (pair.sight, pair.rc)
+                ]
+                assert sorted(map(canonical, read)) == sorted(map(canonical, records))
+            else:
+                assert code == 2 and err.startswith("error: "), err
 
 
 class TestEntryPoints:
