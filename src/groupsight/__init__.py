@@ -40,7 +40,6 @@ from .oracle import (
     Oracle,
     PlantedFamily,
     TestLedger,
-    canonical_kset,
     generate_family,
     sample,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "bottom_up_rc",
     "bottom_up_sight",
     "build_schedule",
-    "canonical_kset",
     "expected_planted_count",
     "generate_family",
     "mann_whitney_u",

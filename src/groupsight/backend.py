@@ -3,8 +3,8 @@
 An immutable index answering "does this node set contain a planted
 set?" and "how many planted k-sets lie fully inside this node set?".
 Candidate sets are bucketed by their minimum member so a query only
-inspects sets whose minimum lies in the queried nodes. It serves family
-generation and the public full-family queries; paired runs answer from
+inspects sets whose minimum lies in the queried nodes. It serves the
+public full-family queries; paired runs answer from
 `PlantedFamily.project` instead.
 """
 
@@ -16,7 +16,11 @@ _EMPTY: tuple = ()
 
 
 class FamilyIndex:
-    """Subset-containment index over a family of small node sets."""
+    """Subset-containment index over a family of small node sets.
+
+    The sets must be nonempty, strictly ascending and inside
+    [0, universe_size); `PlantedFamily` checks them at construction.
+    """
 
     __slots__ = ("universe_size", "n_sets", "_by_min")
 
@@ -24,24 +28,13 @@ class FamilyIndex:
         if universe_size < 0:
             raise ValueError("universe_size must be nonnegative")
         by_min: dict[int, list[frozenset[int]]] = {}
-        n_sets = 0
         for members in planted:
-            prev = -1
-            for v in members:
-                if v <= prev:
-                    raise ValueError("planted sets must be strictly ascending")
-                prev = v
-            if prev < 0:
-                raise ValueError("planted sets must be nonempty")
-            if prev >= universe_size:
-                raise ValueError("planted set member out of range")
             by_min.setdefault(members[0], []).append(frozenset(members))
-            n_sets += 1
         # Small sets first so positive queries exit early.
         for bucket in by_min.values():
             bucket.sort(key=len)
         self.universe_size = universe_size
-        self.n_sets = n_sets
+        self.n_sets = sum(map(len, by_min.values()))
         self._by_min = by_min
 
     def contains_defective(self, nodes: Sequence[int]) -> bool:

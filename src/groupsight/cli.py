@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .harness import (
     DEFAULT_RHOS,
     ExperimentConfig,
+    check_rhos,
     run_experiment,
     read_run_log,
     summarize_cell,
@@ -158,8 +159,6 @@ def _resolved_run_config(args) -> tuple[str, ExperimentConfig, str]:
 def cmd_run(args) -> int:
     family_path, config, out_dir = _resolved_run_config(args)
     family = PlantedFamily.load(family_path)
-    config.validate(family.universe_size)
-
     result = run_experiment(family, config)
 
     out = Path(out_dir)
@@ -210,6 +209,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_stats(args) -> int:
     rhos = _parse_float_list(args.rho) if args.rho else DEFAULT_RHOS
+    check_rhos(rhos)
     grid, cells = read_run_log(args.log)
     summaries = []
     for a0 in grid:
@@ -234,10 +234,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:  # malformed input files and the like
+    except ValueError as exc:  # ValidationError, malformed input files and the like
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as exc:  # an input too large to hold, e.g. universe_size

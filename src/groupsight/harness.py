@@ -21,6 +21,7 @@ thread, one worker pool serves every cell of an experiment.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -55,15 +56,28 @@ class ExperimentConfig:
     def validate(self, universe_size: int) -> None:
         if not self.a0_grid:
             raise ValidationError("a0 grid must be nonempty")
+        if len(set(self.a0_grid)) != len(self.a0_grid):
+            raise ValidationError("a0 grid has a repeated value")
         if self.runs_per_cell < 1:
             raise ValidationError("runs per cell must be at least 1")
         if self.threads < 1:
             raise ValidationError("threads must be at least 1")
-        if any(rho <= 0 for rho in self.rhos):
-            raise ValidationError("cost ratios must be positive")
+        check_rhos(self.rhos)
         for a0 in self.a0_grid:
             SightConfig(a0, self.k_min, self.k_max).validate(universe_size)
             RcConfig(a0, self.k_min, self.k_max, self.t_max).validate(universe_size)
+
+
+def check_rhos(rhos: Sequence[float]) -> None:
+    """Raise unless the cost ratios are finite, positive and distinct.
+
+    Distinct means distinct `cost_r` summary columns, which name each
+    ratio to six significant digits.
+    """
+    if not all(math.isfinite(rho) and rho > 0 for rho in rhos):
+        raise ValidationError("cost ratios must be finite and positive")
+    if len({f"{rho:g}" for rho in rhos}) != len(rhos):
+        raise ValidationError("cost ratios must be distinct")
 
 
 @dataclass(frozen=True)
@@ -400,7 +414,7 @@ def csv_header(rhos: Sequence[float] = DEFAULT_RHOS, k_top: int = 4) -> list[str
     ]
     cols.extend(f"p{k}" for k in range(2, k_top + 1))
     cols.append("prop_identical")
-    cols.extend(f"cost_r{rho:g}" for rho in rhos)
+    cols.extend(f"cost_r{rho:g}" for rho in rhos)  # see check_rhos
     cols.extend(["U", "p_value", "U_pos", "p_value_pos", "U_neg", "p_value_neg"])
     return cols
 
@@ -475,8 +489,14 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     if not (k is None if found is None else _is_int(k) and k == len(found)):
         raise ValueError("run record 'k' is not the size of its 'found_set'")
     abort_step = rec.get("abort_step")
-    if abort_step is not None and not _is_int(abort_step):
-        raise ValueError("run record 'abort_step' is not null or an integer")
+    if rec["algorithm"] == "sight":
+        if "abort_step" in rec:
+            raise ValueError("sight run record has an 'abort_step'")
+    elif outcome is RunOutcome.ABORT_AT_STEP:
+        if not (_is_int(abort_step) and abort_step > 0):
+            raise ValueError("run record 'abort_step' is not a positive integer")
+    elif abort_step is not None:
+        raise ValueError(f"run record 'abort_step' does not fit outcome {outcome.value}")
     res = RunResult(
         algorithm=rec["algorithm"],
         outcome=outcome,

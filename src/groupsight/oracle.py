@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-# Looked up as `backend.FamilyIndex` at each use, so a replaced class
+# Looked up as `backend.FamilyIndex` when an index is built, so a replaced class
 # (perfbench's tracer swaps in a timed subclass) takes effect.
 from . import backend
 from .errors import (
@@ -31,14 +31,6 @@ from .errors import (
 from .rng import ROLE_FAMILY, spawn_generator
 
 KSet = tuple[int, ...]
-
-
-def canonical_kset(nodes: Iterable[int]) -> KSet:
-    """Sorted, duplicate-free tuple form of a node set."""
-    out = tuple(sorted(set(int(v) for v in nodes)))
-    if not out:
-        raise ValidationError("a k-set must contain at least one node")
-    return out
 
 
 class FamilyProjection:
@@ -73,8 +65,8 @@ class PlantedFamily:
     `planted` holds canonical (strictly ascending) tuples over the node
     range [0, universe_size). Construction checks them on the row store
     behind `project` (see `_row_store`), which it builds once and keeps
-    in `_tiers`. The store and the subset-query index are never pickled;
-    worker processes rebuild them on first use.
+    in `_tiers`; a pickled family carries the store. The subset-query
+    index is never pickled; worker processes rebuild it on first use.
     """
 
     universe_size: int
@@ -93,11 +85,7 @@ class PlantedFamily:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_index"] = None
-        state["_tiers"] = None
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     def index(self):
         """Full-family subset-query index, built on first use."""
@@ -105,14 +93,6 @@ class PlantedFamily:
             idx = backend.FamilyIndex(self.universe_size, self.planted)
             object.__setattr__(self, "_index", idx)
         return self._index
-
-    def _rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """The row store, rebuilt after unpickling."""
-        if self._tiers is None:
-            object.__setattr__(
-                self, "_tiers", _row_store(self.universe_size, self.planted)
-            )
-        return self._tiers
 
     def project(self, nodes: Sequence[int]) -> FamilyProjection:
         """The planted sets lying inside `nodes`, for queries on its subsets.
@@ -127,7 +107,7 @@ class PlantedFamily:
         inside = np.zeros(self.universe_size, dtype=bool)
         inside[given] = True
         members = np.flatnonzero(inside)
-        columns, starts = self._rows()
+        columns, starts = self._tiers
         lo = starts.take(members)
         counts = starts.take(members + 1) - lo
         offsets = np.cumsum(counts) - counts
@@ -157,22 +137,16 @@ class PlantedFamily:
         """Raise unless the family is an antichain of distinct sets.
 
         Each planted set must contain exactly one planted set: itself.
-        Sets are canonical tuples, so a set contains a smaller planted set
-        exactly when one of its subsets at a smaller planted size is in
-        the family.
         """
         present: set[KSet] = set()
         for p in self.planted:
             if p in present:
                 raise _not_antichain(p)
             present.add(p)
-        sizes = sorted(set(len(p) for p in self.planted))
+        sizes = set(map(len, self.planted))
         for p in self.planted:
-            for k in sizes:
-                if k >= len(p):
-                    break
-                if not present.isdisjoint(combinations(p, k)):
-                    raise _not_antichain(p)
+            if _nests(p, present, sizes):
+                raise _not_antichain(p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -278,6 +252,14 @@ def _row_store(
     return columns, starts
 
 
+def _nests(p: KSet, present: set[KSet], sizes: Iterable[int]) -> bool:
+    """Does canonical `p` contain a smaller set of `present`?
+
+    `sizes` must include every size in `present`.
+    """
+    return any(not present.isdisjoint(combinations(p, k)) for k in sizes if k < len(p))
+
+
 def _not_antichain(p: KSet) -> ValidationError:
     return ValidationError(
         f"family is not an antichain of distinct sets (offending set {p})"
@@ -319,10 +301,6 @@ class Oracle:
     def __post_init__(self):
         if not 0.0 <= self.p_fn < 1.0:
             raise ValidationError("p_fn must lie in [0, 1)")
-
-    def truth(self, nodes: Sequence[int]) -> bool:
-        """Noise-free containment answer; no ledger effect."""
-        return self.family.contains_defective(nodes)
 
     def is_defective(
         self, nodes: Sequence[int], ledger: TestLedger, rng: np.random.Generator
@@ -392,8 +370,7 @@ def generate_family(
     universe = list(range(universe_size))
     for k in sorted(counts):
         target = counts[k]
-        # Accepted smaller sizes are frozen; index them once per tier.
-        smaller = backend.FamilyIndex(universe_size, accepted)
+        smaller = set(accepted)  # accepted sets are all smaller than k
         tier: set[KSet] = set()
         budget = attempts_per_set * max(target, 1)
         while len(tier) < target:
@@ -404,9 +381,7 @@ def generate_family(
                 )
             budget -= 1
             cand = tuple(sorted(sample(universe, k, rng)))
-            if cand in tier:
-                continue
-            if smaller.n_sets and smaller.contains_defective(cand):
+            if cand in tier or _nests(cand, smaller, counts):
                 continue
             tier.add(cand)
         accepted.extend(sorted(tier))

@@ -11,14 +11,14 @@ defective subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .oracle import KSet, Oracle, TestLedger, sample
-from .results import RunOutcome, RunResult
+from .results import RunOutcome, RunResult, bottom_up, check_window, start_run
 
 ALGORITHM = "rc"
 
@@ -33,10 +33,7 @@ class RcConfig:
     t_max: int = 20
 
     def validate(self, universe_size: int) -> None:
-        if not 2 <= self.k_min <= self.k_max:
-            raise ValidationError("need 2 <= k_min <= k_max")
-        if not self.k_max < self.a0 < universe_size:
-            raise ValidationError("need k_max < a0 < universe size")
+        check_window(self, universe_size, "<")
         if self.t_max < 1:
             raise ValidationError("t_max must be at least 1")
 
@@ -75,14 +72,7 @@ def bottom_up_rc(
     already-tested bookkeeping to consult. Returns None when no subset
     of size at most k_max tests defective.
     """
-    s_nodes = sorted(s)
-    for k in range(k_min, min(k_max, len(s_nodes)) + 1):
-        tier = list(combinations(s_nodes, k))
-        for idx in rng.permutation(len(tier)):
-            cand = tier[idx]
-            if oracle.is_defective(cand, ledger, rng):
-                return tuple(cand)
-    return None
+    return bottom_up(s, range(k_min, min(k_max, len(s)) + 1), oracle, ledger, rng)
 
 
 def run_rc(
@@ -101,45 +91,24 @@ def run_rc(
     in the deterministic sampler, letting paired runs share the initial
     sample and its test outcome while diverging stochastically after.
     """
-    config.validate(universe_size)
-    init_rng = rng if init_rng is None else init_rng
-    init_noise_rng = init_rng if init_noise_rng is None else init_noise_rng
-    schedule = build_schedule(config.a0, config.k_max)
-    if initial_sample is None:
-        s = sample(range(universe_size), config.a0, init_rng)
-    else:
-        s = [int(v) for v in initial_sample]
-        if len(s) != config.a0:
-            raise ValidationError("initial_sample must have exactly a0 elements")
-
+    s, init_noise_rng = start_run(
+        universe_size, config, rng, init_rng, init_noise_rng, initial_sample
+    )
     ledger = TestLedger()
-
-    def result(outcome: RunOutcome, found: KSet | None = None,
-               abort_step: int | None = None) -> RunResult:
-        return RunResult(
-            algorithm=ALGORITHM,
-            outcome=outcome,
-            ledger=ledger,
-            a0=config.a0,
-            found=found,
-            abort_step=abort_step,
-        )
+    result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
 
     if not oracle.is_defective(s, ledger, init_noise_rng):
         return result(RunOutcome.ABORT_INITIAL)
 
-    for step, a_i in enumerate(schedule[1:], start=1):
-        advanced = False
+    for step, a_i in enumerate(build_schedule(config.a0, config.k_max)[1:], start=1):
         for _ in range(config.t_max):
             s_new = sample(s, a_i, rng)
             if oracle.is_defective(s_new, ledger, rng):
                 s = s_new
-                advanced = True
                 break
-        if not advanced:
+        else:
             return result(RunOutcome.ABORT_AT_STEP, abort_step=step)
 
     found = bottom_up_rc(s, config.k_min, config.k_max, oracle, ledger, rng)
-    if found is None:
-        return result(RunOutcome.ABORT_NO_MINIMAL)
-    return result(RunOutcome.FOUND, found=found)
+    return result(RunOutcome.ABORT_NO_MINIMAL if found is None else RunOutcome.FOUND,
+                  found=found)

@@ -1,11 +1,20 @@
-"""Run outcomes and their wire format."""
+"""Run outcomes, their wire format, and the steps both samplers share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
+from typing import Optional, Sequence
 
-from .oracle import KSet, TestLedger
+import numpy as np
+
+from .errors import ValidationError
+from .oracle import KSet, Oracle, TestLedger, sample
+
+# Registry of node sets already submitted to the oracle this run, with
+# the answer observed.
+TestedRegistry = dict[frozenset, bool]
 
 
 class RunOutcome(str, Enum):
@@ -56,3 +65,60 @@ class RunResult:
         if self.algorithm == "rc":
             record["abort_step"] = self.abort_step
         return record
+
+
+def check_window(config, universe_size: int, a0_op: str) -> None:
+    """Raise unless 2 <= k_min <= k_max and k_max `a0_op` a0 < universe size."""
+    if not 2 <= config.k_min <= config.k_max:
+        raise ValidationError("need 2 <= k_min <= k_max")
+    if not config.k_max + (a0_op == "<") <= config.a0 < universe_size:
+        raise ValidationError(f"need k_max {a0_op} a0 < universe size")
+
+
+def start_run(
+    universe_size: int, config, rng, init_rng, init_noise_rng, initial_sample
+) -> tuple[list[int], np.random.Generator]:
+    """Validate `config`; return the initial sample and the initial test's rng.
+
+    The arguments and their defaults are those `run_sight` documents.
+    """
+    config.validate(universe_size)
+    init_rng = rng if init_rng is None else init_rng
+    init_noise_rng = init_rng if init_noise_rng is None else init_noise_rng
+    if initial_sample is None:
+        return sample(range(universe_size), config.a0, init_rng), init_noise_rng
+    s = [int(v) for v in initial_sample]
+    if len(s) != config.a0:
+        raise ValidationError("initial_sample must have exactly a0 elements")
+    return s, init_noise_rng
+
+
+def ask(nodes: Sequence[int], oracle: Oracle, ledger: TestLedger,
+        rng: np.random.Generator, tested: Optional[TestedRegistry] = None) -> bool:
+    """Test `nodes`, recording the answer in `tested` when one is given."""
+    result = oracle.is_defective(nodes, ledger, rng)
+    if tested is not None:
+        tested[frozenset(nodes)] = result
+    return result
+
+
+def bottom_up(
+    nodes: Sequence[int], sizes: range, oracle: Oracle, ledger: TestLedger,
+    rng: np.random.Generator, tested: Optional[TestedRegistry] = None,
+) -> KSet | None:
+    """First subset of `nodes` to test defective, else None.
+
+    Sizes are scanned in ascending order, the subsets of each size in
+    uniformly random order. With a `tested` registry, subsets already in
+    it are skipped for free and every new answer is recorded there.
+    """
+    ordered = sorted(nodes)
+    for k in sizes:
+        tier = list(combinations(ordered, k))
+        for idx in rng.permutation(len(tier)):
+            cand = tier[idx]
+            if tested is not None and frozenset(cand) in tested:
+                continue
+            if ask(cand, oracle, ledger, rng, tested):
+                return cand
+    return None

@@ -12,22 +12,24 @@ determined by the initial sample and the oracle's noise draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySelectionError, ValidationError
-from .oracle import KSet, Oracle, TestLedger, sample
-from .results import RunOutcome, RunResult
+from .errors import EmptySelectionError
+from .oracle import KSet, Oracle, TestLedger
+from .results import (
+    RunOutcome,
+    RunResult,
+    TestedRegistry,
+    ask,
+    bottom_up,
+    check_window,
+    start_run,
+)
 
 ALGORITHM = "sight"
-
-# Registry of node sets already submitted to the oracle this run, with
-# the answer observed. The minimality pass skips registered subsets for
-# free, and the accumulated-set test reuses a registered answer instead
-# of charging a duplicate test.
-TestedRegistry = dict[frozenset, bool]
 
 
 @dataclass(frozen=True)
@@ -39,22 +41,7 @@ class SightConfig:
     k_max: int = 4
 
     def validate(self, universe_size: int) -> None:
-        if not 2 <= self.k_min <= self.k_max:
-            raise ValidationError("need 2 <= k_min <= k_max")
-        if not self.k_max <= self.a0 < universe_size:
-            raise ValidationError("need k_max <= a0 < universe size")
-
-
-def _test_and_record(
-    nodes: Sequence[int],
-    oracle: Oracle,
-    ledger: TestLedger,
-    rng: np.random.Generator,
-    tested: TestedRegistry,
-) -> bool:
-    result = oracle.is_defective(nodes, ledger, rng)
-    tested[frozenset(nodes)] = result
-    return result
+        check_window(self, universe_size, "<=")
 
 
 def bin_search(
@@ -75,13 +62,11 @@ def bin_search(
     """
     if not s:
         raise EmptySelectionError("cannot binary-search an empty list")
-    if tested is None:
-        tested = {}
     d = list(d)
     left, right = 1, len(s)
     while left < right:
         i = (right - left + 1) // 2  # ceil((right - left) / 2)
-        if _test_and_record(d + list(s[: right - i]), oracle, ledger, rng, tested):
+        if ask(d + list(s[: right - i]), oracle, ledger, rng, tested):
             right = right - i
         else:
             left = right - i + 1
@@ -104,16 +89,8 @@ def bottom_up_sight(
     this run. During a run, every registered proper subset of `d` was
     observed non-defective, so skipping cannot hide a smaller answer.
     """
-    d_nodes = sorted(d)
-    for k in range(k_min, min(k_max, len(d_nodes) - 1) + 1):
-        tier = list(combinations(d_nodes, k))
-        for idx in rng.permutation(len(tier)):
-            cand = tier[idx]
-            if frozenset(cand) in tested:
-                continue
-            if _test_and_record(cand, oracle, ledger, rng, tested):
-                return tuple(cand)
-    return tuple(d_nodes)
+    sizes = range(k_min, min(k_max, len(d) - 1) + 1)
+    return bottom_up(d, sizes, oracle, ledger, rng, tested) or tuple(sorted(d))
 
 
 def run_sight(
@@ -133,53 +110,37 @@ def run_sight(
     initial test; paired runs hand both algorithms generators for the
     same substreams so they share that prefix exactly. `initial_sample`
     bypasses sampling for callers that need a specific ordered sample.
-    """
-    config.validate(universe_size)
-    init_rng = rng if init_rng is None else init_rng
-    init_noise_rng = init_rng if init_noise_rng is None else init_noise_rng
-    if initial_sample is None:
-        s = sample(range(universe_size), config.a0, init_rng)
-    else:
-        s = [int(v) for v in initial_sample]
-        if len(s) != config.a0:
-            raise ValidationError("initial_sample must have exactly a0 elements")
 
+    Every tested set is registered: the minimality pass skips registered
+    subsets for free, and the accumulated-set test reuses a registered
+    answer instead of charging a duplicate test.
+    """
+    s, init_noise_rng = start_run(
+        universe_size, config, rng, init_rng, init_noise_rng, initial_sample
+    )
     ledger = TestLedger()
     tested: TestedRegistry = {}
+    result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
 
-    def result(outcome: RunOutcome, found: KSet | None = None,
-               pre_bu: int | None = None) -> RunResult:
-        return RunResult(
-            algorithm=ALGORITHM,
-            outcome=outcome,
-            ledger=ledger,
-            a0=config.a0,
-            found=found,
-            positives_pre_bottom_up=ledger.positives if pre_bu is None else pre_bu,
-        )
-
-    if not _test_and_record(s, oracle, ledger, init_noise_rng, tested):
-        return result(RunOutcome.ABORT_INITIAL)
+    if not ask(s, oracle, ledger, init_noise_rng, tested):
+        return result(RunOutcome.ABORT_INITIAL, positives_pre_bottom_up=0)
 
     d: list[int] = []
-    while len(d) < config.k_max:
-        if not s:
-            # Defective content was truncated away (false negatives) or
-            # completes below k_min. Abort rather than search an empty list.
-            return result(RunOutcome.ABORT_TOO_LARGE)
+    # An empty `s` means defective content was truncated away (false
+    # negatives) or completes below k_min: abort, as at k_max.
+    while s and len(d) < config.k_max:
         m = bin_search(s, d, oracle, ledger, rng, tested)
         d.append(s[m - 1])
         if len(d) >= config.k_min:
-            key = frozenset(d)
-            if key in tested:
-                defective = tested[key]
-            else:
-                defective = _test_and_record(d, oracle, ledger, rng, tested)
+            defective = tested.get(frozenset(d))
+            if defective is None:
+                defective = ask(d, oracle, ledger, rng, tested)
             if defective:
                 pre_bu = ledger.positives
                 found = bottom_up_sight(
                     d, config.k_min, config.k_max, tested, oracle, ledger, rng
                 )
-                return result(RunOutcome.FOUND, found=found, pre_bu=pre_bu)
+                return result(RunOutcome.FOUND, found=found,
+                              positives_pre_bottom_up=pre_bu)
         s = s[: m - 1]
-    return result(RunOutcome.ABORT_TOO_LARGE)
+    return result(RunOutcome.ABORT_TOO_LARGE, positives_pre_bottom_up=ledger.positives)

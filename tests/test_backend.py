@@ -30,16 +30,6 @@ class TestKernelContract:
         with pytest.raises(ValueError):
             idx.contains_defective([-1])
 
-    def test_malformed_planted_rejected(self):
-        with pytest.raises(ValueError):
-            FamilyIndex(5, [(2, 1)])
-        with pytest.raises(ValueError):
-            FamilyIndex(5, [(1, 1)])
-        with pytest.raises(ValueError):
-            FamilyIndex(5, [()])
-        with pytest.raises(ValueError):
-            FamilyIndex(3, [(1, 5)])
-
     def test_count_contained_by_size(self):
         idx = FamilyIndex(8, [(0, 1), (2, 3), (0, 2, 4)])
         q = [0, 1, 2, 3, 4]

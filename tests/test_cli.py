@@ -128,6 +128,41 @@ class TestRun:
         ])
         assert code == 2
 
+    def test_repeated_a0_rejected(self, family_file, tmp_path, capsys):
+        # Each pair would be written twice, a log `stats` rejects.
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run_cli([
+            "run", "--family", str(family_file), "--a0", "8,8",
+            "--runs", "5", "-o", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: a0 grid has a repeated value\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ("nan,inf", "cost ratios must be finite and positive"),
+            ("1,1", "cost ratios must be distinct"),
+            ("2,2.0000001", "cost ratios must be distinct"),
+            ("-1,0", "cost ratios must be finite and positive"),
+        ],
+        ids=["nan-inf", "repeated", "same-column", "nonpositive"],
+    )
+    def test_bad_cost_ratios_rejected(
+        self, family_file, tmp_path, capsys, rho, message
+    ):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run_cli([
+            "run", "--family", str(family_file), "--a0", "8",
+            "--runs", "5", f"--rho={rho}", "-o", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_family_file_is_io_error(self, tmp_path):
         code = run_cli([
             "run", "--family", str(tmp_path / "nope.json"), "--a0", "8",
@@ -218,6 +253,16 @@ class TestRun:
         assert len(lines) == 2 * 4
 
 
+@pytest.fixture(scope="module")
+def run_log_file(family_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("stats")
+    assert run_cli([
+        "run", "--family", str(family_file), "--a0", "8",
+        "--runs", "5", "--seed", "11", "-o", str(out),
+    ]) == 0
+    return out / "runs.jsonl"
+
+
 class TestStats:
     def test_recomputed_summary_matches_original(self, family_file, tmp_path):
         out = tmp_path / "out"
@@ -303,6 +348,64 @@ class TestStats:
 
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli(["stats", "--log", str(tmp_path / "nope.jsonl")]) == 3
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ("nan", "cost ratios must be finite and positive"),
+            ("1,inf", "cost ratios must be finite and positive"),
+            ("-1,0", "cost ratios must be finite and positive"),
+            ("10,10", "cost ratios must be distinct"),
+        ],
+        ids=["nan", "inf", "nonpositive", "repeated"],
+    )
+    def test_bad_cost_ratios_rejected(self, run_log_file, capsys, rho, message):
+        capsys.readouterr()
+        assert run_cli(["stats", "--log", str(run_log_file), f"--rho={rho}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "algorithm, alter, message",
+        [
+            ("rc", {"outcome": "AbortAtStep", "found_set": None, "k": None,
+                    "abort_step": -3}, "is not a positive integer"),
+            ("rc", {"outcome": "AbortAtStep", "found_set": None, "k": None,
+                    "abort_step": 0}, "is not a positive integer"),
+            ("rc", {"outcome": "AbortAtStep", "found_set": None, "k": None,
+                    "abort_step": None}, "is not a positive integer"),
+            ("rc", {"outcome": "Found", "found_set": [0, 1], "k": 2,
+                    "abort_step": 2}, "does not fit outcome Found"),
+            ("rc", {"outcome": "AbortInitial", "found_set": None, "k": None,
+                    "abort_step": 1}, "does not fit outcome AbortInitial"),
+            ("sight", {"abort_step": None}, "sight run record has an 'abort_step'"),
+        ],
+        ids=["negative", "zero", "missing-step", "found", "abort-initial", "sight"],
+    )
+    def test_abort_step_must_fit_outcome(
+        self, run_log_file, tmp_path, capsys, algorithm, alter, message
+    ):
+        lines = run_log_file.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if json.loads(line)["algorithm"] == algorithm)
+        lines[at] = json.dumps({**json.loads(lines[at]), **alter})
+        log = tmp_path / "altered.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["stats", "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}:{at + 1}: ") and message in err
+
+    def test_positive_abort_step_is_read(self, run_log_file, tmp_path):
+        lines = run_log_file.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if json.loads(line)["algorithm"] == "rc")
+        lines[at] = json.dumps({**json.loads(lines[at]), "outcome": "AbortAtStep",
+                                "found_set": None, "k": None, "abort_step": 3})
+        log = tmp_path / "altered.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        _, cells = read_run_log(log)
+        assert cells[8][at // 2].rc.abort_step == 3
 
 
 _DROP = object()

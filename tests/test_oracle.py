@@ -210,13 +210,17 @@ class TestProjection:
             q = pyrng.sample(s, pyrng.randrange(len(s) + 1))
             assert proj.contains_defective(q) == brute_truth(planted, q)
 
-    def test_pickle_drops_lazy_structures(self):
+    def test_pickle_keeps_row_store_drops_index(self):
         fam = generate_family(40, {2: 6, 3: 4, 5: 10}, seed=9)
         fam.index()
-        fam.project(range(20))
         clone = pickle.loads(pickle.dumps(fam))
-        assert clone._index is None and clone._tiers is None
+        assert clone._index is None
         assert clone == fam
+        (columns, starts), (clone_columns, clone_starts) = fam._tiers, clone._tiers
+        assert len(clone_columns) == len(columns)
+        for col, clone_col in zip(columns, clone_columns):
+            assert clone_col.dtype == col.dtype and np.array_equal(clone_col, col)
+        assert np.array_equal(clone_starts, starts)
         assert clone.project(range(20)).sets == fam.project(range(20)).sets
 
 
