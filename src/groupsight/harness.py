@@ -460,6 +460,18 @@ def write_summary_csv(
         stream.write(",".join(summary_row(summary, rhos, k_top)) + "\n")
 
 
+# The outcomes each sampler can produce; a run record must carry one of them.
+_OUTCOMES = {
+    "sight": frozenset({
+        RunOutcome.FOUND, RunOutcome.ABORT_INITIAL, RunOutcome.ABORT_TOO_LARGE,
+    }),
+    "rc": frozenset({
+        RunOutcome.FOUND, RunOutcome.ABORT_INITIAL, RunOutcome.ABORT_AT_STEP,
+        RunOutcome.ABORT_NO_MINIMAL,
+    }),
+}
+
+
 def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     """(a0, pair id, result) of one run-log line; ValueError if malformed."""
     rec = json.loads(line)
@@ -475,9 +487,13 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     for key in ints:
         if not (_is_int(rec[key]) and rec[key] >= 0):
             raise ValueError(f"run record {key!r} is not a nonnegative integer")
-    if rec["algorithm"] not in ("sight", "rc"):
-        raise ValueError(f"run record algorithm {rec['algorithm']!r} is unknown")
+    algorithm = rec["algorithm"]
+    if not (isinstance(algorithm, str) and algorithm in _OUTCOMES):
+        raise ValueError(f"run record algorithm {algorithm!r} is unknown")
     outcome = RunOutcome(rec["outcome"])
+    if outcome not in _OUTCOMES[algorithm]:
+        raise ValueError(f"{algorithm} run record has outcome {outcome.value}, "
+                         f"which {algorithm} never produces")
     found = rec["found_set"]
     if found is not None and not (
         isinstance(found, list) and all(_is_int(v) for v in found)
@@ -489,7 +505,7 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     if not (k is None if found is None else _is_int(k) and k == len(found)):
         raise ValueError("run record 'k' is not the size of its 'found_set'")
     abort_step = rec.get("abort_step")
-    if rec["algorithm"] == "sight":
+    if algorithm == "sight":
         if "abort_step" in rec:
             raise ValueError("sight run record has an 'abort_step'")
     elif outcome is RunOutcome.ABORT_AT_STEP:
@@ -498,7 +514,7 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     elif abort_step is not None:
         raise ValueError(f"run record 'abort_step' does not fit outcome {outcome.value}")
     res = RunResult(
-        algorithm=rec["algorithm"],
+        algorithm=algorithm,
         outcome=outcome,
         ledger=TestLedger(positives=rec["positives"], negatives=rec["negatives"]),
         a0=rec["a0"],

@@ -396,6 +396,29 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {log}:{at + 1}: ") and message in err
 
+    @pytest.mark.parametrize(
+        "algorithm, outcome",
+        [("sight", "AbortAtStep"), ("sight", "AbortNoMinimal"),
+         ("rc", "AbortTooLarge")],
+    )
+    def test_outcome_must_fit_algorithm(
+        self, run_log_file, tmp_path, capsys, algorithm, outcome
+    ):
+        lines = run_log_file.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if json.loads(line)["algorithm"] == algorithm)
+        alter = {"outcome": outcome, "found_set": None, "k": None}
+        if algorithm == "rc":
+            alter["abort_step"] = None
+        lines[at] = json.dumps({**json.loads(lines[at]), **alter})
+        log = tmp_path / "altered.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["stats", "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}:{at + 1}: ")
+        assert f"{algorithm} run record has outcome {outcome}" in err
+
     def test_positive_abort_step_is_read(self, run_log_file, tmp_path):
         lines = run_log_file.read_text().splitlines()
         at = next(i for i, line in enumerate(lines)

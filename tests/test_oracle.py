@@ -117,17 +117,17 @@ class TestContainsDefective:
     @given(data=st.data())
     def test_monotone_in_supersets_and_matches_brute_force(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-        n = rng.randrange(5, 25)
+        n = rng.randrange(8, 30)
         from conftest import random_antichain_family
 
-        fam = random_antichain_family(rng, n, sizes=(2, 3, 4, 5))
+        fam = random_antichain_family(rng, n, sizes=(2, 3, 4, 5, 6, 7))
         s = rng.sample(range(n), rng.randrange(1, n + 1))
         extra = [v for v in range(n) if v not in s]
         t = s + rng.sample(extra, rng.randrange(len(extra) + 1))
         assert fam.contains_defective(s) == brute_truth(fam.planted, s)
         if fam.contains_defective(s):
             assert fam.contains_defective(t)
-        for k in (2, 3, 4, 5):
+        for k in (2, 3, 4, 5, 6, 7):
             inside = sum(1 for p in fam.planted if len(p) == k and set(p) <= set(s))
             assert fam.count_contained(s, k) == inside
 
