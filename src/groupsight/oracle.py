@@ -332,6 +332,33 @@ def sample(pool: Sequence[int], count: int, rng: np.random.Generator) -> list[in
     return [int(pool[i]) for i in idx]
 
 
+# Most candidate rows one `_draw_sets` call draws in `generate_family`; it
+# bounds what a batch's arrays and row lists hold in memory.
+_CHUNK = 1024
+
+
+def _draw_sets(
+    rng: np.random.Generator, n: int, k: int, count: int
+) -> np.ndarray:
+    """`count` rows, each the sorted `rng.choice(n, k, replace=False)`.
+
+    Consumes the stream exactly as `count` successive `choice` calls do
+    (see `generate_family`). Per row, columns 0..k-1 of the batched draw
+    are Floyd's draws from [0, j] for j = n-k .. n-1, each replaced by j
+    when already taken; the k-1 shuffle draws after them go unused.
+    """
+    if n > 10000 and k > n // 50:
+        return np.array([np.sort(rng.choice(n, k, replace=False))
+                         for _ in range(count)])
+    highs = np.concatenate((np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)))
+    rows = rng.integers(0, np.tile(highs, count)).reshape(count, -1)[:, :k]
+    for c in range(1, k):
+        taken = (rows[:, :c] == rows[:, c, None]).any(axis=1)
+        rows[taken, c] = n - k + c
+    rows.sort(axis=1)
+    return rows
+
+
 def generate_family(
     universe_size: int,
     counts_by_k: Mapping[int, int],
@@ -346,6 +373,20 @@ def generate_family(
     containing an accepted smaller set; equal-size sets can never nest.
     Candidates violating either are discarded and redrawn. Deterministic
     given the seed.
+
+    Each candidate is the sorted `rng.choice(universe_size, k,
+    replace=False)`, but a tier draws up to `_CHUNK` candidates from one
+    `rng.integers` call (`_draw_sets`). This is exact: numpy's `choice`
+    runs Floyd's algorithm and then a Fisher-Yates shuffle, and each of
+    their draws is the bounded-integer draw (Lemire's method) that
+    `integers` makes for each element of an array of bounds. Given the
+    bounds of `count` rows, one call consumes the stream as `count`
+    `choice` calls do and leaves the generator in the same state. Where
+    `choice` uses a tail shuffle instead (universe_size > 10000 and
+    k > universe_size // 50), `_draw_sets` calls `choice` once per row.
+    A batch never holds more rows than the tier still needs or its
+    budget allows, so the family is the one that drawing one candidate
+    at a time makes.
     """
     counts = {}
     for k, c in counts_by_k.items():
@@ -367,7 +408,7 @@ def generate_family(
     rng = spawn_generator(seed, ROLE_FAMILY)
     accepted: list[KSet] = []
     # One int object per node, shared by every planted set.
-    universe = list(range(universe_size))
+    universe = np.fromiter(range(universe_size), dtype=object, count=universe_size)
     for k in sorted(counts):
         target = counts[k]
         smaller = set(accepted)  # accepted sets are all smaller than k
@@ -379,11 +420,13 @@ def generate_family(
                     f"retry budget exhausted generating size-{k} sets "
                     f"({len(tier)}/{target} placed)"
                 )
-            budget -= 1
-            cand = tuple(sorted(sample(universe, k, rng)))
-            if cand in tier or _nests(cand, smaller, counts):
-                continue
-            tier.add(cand)
+            batch = min(target - len(tier), budget, _CHUNK)
+            budget -= batch
+            rows = universe[_draw_sets(rng, universe_size, k, batch)].tolist()
+            for cand in map(tuple, rows):
+                if cand in tier or _nests(cand, smaller, counts):
+                    continue
+                tier.add(cand)
         accepted.extend(sorted(tier))
     return PlantedFamily(
         universe_size=universe_size, planted=tuple(accepted), seed=seed

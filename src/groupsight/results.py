@@ -78,7 +78,9 @@ def check_window(config, universe_size: int, a0_op: str) -> None:
 def start_run(
     universe_size: int, config, rng, init_rng, init_noise_rng, initial_sample
 ) -> tuple[list[int], np.random.Generator]:
-    """Validate `config`; return the initial sample and the initial test's rng.
+    """Validate `config` and any `initial_sample`; return the initial sample
+    and the initial test's rng. A given sample must hold a0 distinct
+    integers (ints or numpy integers, not bools) in [0, universe_size).
 
     The arguments and their defaults are those `run_sight` documents.
     """
@@ -87,9 +89,19 @@ def start_run(
     init_noise_rng = init_rng if init_noise_rng is None else init_noise_rng
     if initial_sample is None:
         return sample(range(universe_size), config.a0, init_rng), init_noise_rng
-    s = [int(v) for v in initial_sample]
+    s = list(initial_sample)
     if len(s) != config.a0:
         raise ValidationError("initial_sample must have exactly a0 elements")
+    if not set(map(type, s)) <= {int}:
+        # Slow path for anything but plain ints: numpy integers pass, as ints.
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in s):
+            raise ValidationError("initial_sample members must be integers")
+        s = [int(v) for v in s]
+    if len(set(s)) < len(s):
+        raise ValidationError("initial_sample has a repeated member")
+    if not 0 <= min(s) <= max(s) < universe_size:
+        raise ValidationError("initial_sample member out of range")
     return s, init_noise_rng
 
 

@@ -70,3 +70,16 @@ def pyrandom():
 def all_subsets(nodes, k_min, k_max):
     for k in range(k_min, k_max + 1):
         yield from combinations(sorted(nodes), k)
+
+
+# Initial samples of a0 = 8 over 40 nodes that a run must reject. Each
+# once read as a sample holding the planted pair {1, 32}: floats and
+# bools were coerced by int(), and a repeated node was charged as if the
+# sample had a0 distinct members.
+MALFORMED_SAMPLES = {
+    "float": [1.9, 2.2, 1.0, 32.0, 5.0, 6.0, 7.0, 8.0],
+    "bool": [True, 32, 2, 3, 4, 5, 6, 7],
+    "repeat": [1] * 7 + [32],
+    "negative": [-1, 1, 32, 3, 4, 5, 6, 7],
+    "too-large": [40, 1, 32, 3, 4, 5, 6, 7],
+}

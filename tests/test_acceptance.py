@@ -8,6 +8,7 @@ minimal 5-sets, whose prevalence inside samples grows steeply with the
 initial set size and drives mid-run aborts.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -75,6 +76,20 @@ def comparison():
     elapsed = time.monotonic() - start
     print(f"[comparison experiment: {6 * 5000} paired runs in {elapsed:.0f}s]")
     return family, config, result
+
+
+# SHA-256 of repr(planted) of the comparison family. Its 300,000-set
+# tier is drawn in many batches, so this pins the batched draw to the
+# stream of one `choice` call per candidate.
+COMPARISON_FAMILY_SHA256 = (
+    "c8201972bb1b68bfa79417aabe32888b87e01e6d03114d7a8fa8319b6e76f2c6"
+)
+
+
+def test_comparison_family_digest(comparison):
+    family, _, _ = comparison
+    digest = hashlib.sha256(repr(family.planted).encode()).hexdigest()
+    assert digest == COMPARISON_FAMILY_SHA256
 
 
 def cell_summaries(result):

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from groupsight import (
     spawn_generator,
 )
 from groupsight import TestLedger as Ledger
+from groupsight.oracle import _CHUNK, _draw_sets
+from groupsight.rng import ROLE_FAMILY
 
 from conftest import (
     brute_is_antichain,
@@ -73,10 +76,20 @@ class TestGenerateFamily:
         with pytest.raises(InfeasibleCountsError):
             generate_family(4, {2: 7}, seed=0)  # C(4,2) = 6
 
-    def test_retry_budget_exhaustion_raises(self):
-        # All pairs over {0,1,2} planted; no 3-set can avoid containing one.
-        with pytest.raises(InfeasibleCountsError):
-            generate_family(3, {2: 3, 3: 1}, seed=0, attempts_per_set=50)
+    @pytest.mark.parametrize(
+        "universe_size, counts, kwargs, placed",
+        [
+            # All pairs over {0,1,2} planted; no 3-set can avoid containing one.
+            (3, {2: 3, 3: 1}, dict(seed=0, attempts_per_set=50), "0/1"),
+            (6, {2: 9, 3: 8}, dict(seed=1), "1/8"),
+            (8, {2: 20, 3: 12}, dict(seed=4, attempts_per_set=3), "0/12"),
+        ],
+        ids=["all-pairs", "dense", "tight-budget"],
+    )
+    def test_retry_budget_exhaustion_raises(self, universe_size, counts, kwargs, placed):
+        # The placed count pins how many candidates the tier drew and kept.
+        with pytest.raises(InfeasibleCountsError, match=rf"\({placed} placed\)"):
+            generate_family(universe_size, counts, **kwargs)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -98,6 +111,63 @@ class TestGenerateFamily:
         }
         assert brute_is_antichain(fam.planted)
         fam.validate_antichain()
+
+
+class TestDrawSets:
+    """The batched draw replays `choice(n, k, replace=False)` exactly."""
+
+    @staticmethod
+    def assert_same_stream(n, k, count, seed=0):
+        rng, ref = spawn_generator(seed, n, k), spawn_generator(seed, n, k)
+        got = _draw_sets(rng, n, k, count)
+        expected = [np.sort(ref.choice(n, k, replace=False)) for _ in range(count)]
+        np.testing.assert_array_equal(got, np.array(expected))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize(
+        "n, k, count",
+        [
+            (2, 2, _CHUNK + 1),
+            (3, 2, _CHUNK + 1),
+            (5, 5, _CHUNK + 1),
+            (40, 3, 2 * _CHUNK + 7),
+            (40, 39, 100),
+            (1000, 5, _CHUNK + 1),
+            (1000, 1000, 5),
+            (10_000, 2, _CHUNK + 1),
+            (10_000, 201, 20),
+            (10_000, 10_000, 2),
+            (20_000, 400, 5),  # the largest k numpy still draws by Floyd
+            (20_000, 401, 5),  # numpy's tail shuffle: one `choice` per row
+        ],
+    )
+    def test_matches_successive_choice_calls(self, n, k, count):
+        self.assert_same_stream(n, k, count)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(min_value=2, max_value=10_000))
+    def test_matches_choice_on_random_sizes(self, data, n):
+        k = data.draw(st.integers(min_value=2, max_value=min(n, 64)))
+        count = data.draw(st.integers(min_value=1, max_value=40))
+        self.assert_same_stream(n, k, count, seed=data.draw(st.integers(0, 2**32 - 1)))
+
+    def test_family_crossing_chunks_matches_one_at_a_time_draws(self):
+        # The loop generate_family ran before batching: one `sample` per
+        # candidate, dropping repeats and triples that hold a planted pair.
+        rng = spawn_generator(31, ROLE_FAMILY)
+        pairs, triples = set(), set()
+        while len(pairs) < 1500:
+            pairs.add(tuple(sorted(sample(range(200), 2, rng))))
+        while len(triples) < 1200:
+            cand = tuple(sorted(sample(range(200), 3, rng)))
+            if pairs.isdisjoint(combinations(cand, 2)):
+                triples.add(cand)
+        fam = generate_family(200, {2: 1500, 3: 1200}, seed=31)
+        assert fam.planted == tuple(sorted(pairs)) + tuple(sorted(triples))
+
+    def test_family_shares_one_int_object_per_node(self):
+        fam = generate_family(1000, {2: 400, 5: 3000}, seed=3)
+        assert len({id(v) for p in fam.planted for v in p}) <= 1000
 
 
 class TestContainsDefective:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from groupsight import (
@@ -21,7 +22,7 @@ from groupsight import (
 )
 from groupsight import TestLedger as Ledger
 
-from conftest import make_family, random_antichain_family
+from conftest import MALFORMED_SAMPLES, make_family, random_antichain_family
 
 
 def rngs(seed, j=0):
@@ -134,6 +135,27 @@ class TestRunRc:
             if res.outcome is RunOutcome.FOUND:
                 assert set(res.found) <= set(initial)
                 assert 2 <= len(res.found) <= 4
+
+    @pytest.mark.parametrize("initial", MALFORMED_SAMPLES.values(),
+                             ids=MALFORMED_SAMPLES.keys())
+    def test_malformed_initial_sample_rejected(self, initial):
+        fam = make_family(40, [{1, 32}])
+        rng, init = rngs(8)
+        with pytest.raises(ValidationError):
+            run_rc(40, RcConfig(a0=8, k_min=2, k_max=4), Oracle(fam), rng,
+                   init_rng=init, initial_sample=initial)
+
+    def test_numpy_initial_sample_runs_as_ints(self):
+        fam = make_family(40, [{1, 32}])
+        initial = [0, 1, 2, 3, 4, 5, 6, 32]
+        runs = []
+        for nodes in (initial, np.array(initial, dtype=np.int64)):
+            rng, init = rngs(9)
+            runs.append(run_rc(40, RcConfig(a0=8, k_min=2, k_max=4), Oracle(fam),
+                               rng, init_rng=init, initial_sample=nodes))
+        assert runs[0] == runs[1]
+        assert runs[1].found == (1, 32)
+        assert all(type(v) is int for v in runs[1].found)
 
     def test_accepted_reductions_form_a_strict_subset_chain(self):
         from test_sight import RecordingOracle

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from groupsight import (
@@ -24,6 +25,7 @@ from groupsight import (
 from groupsight import TestLedger as Ledger
 
 from conftest import (
+    MALFORMED_SAMPLES,
     brute_least_defective_prefix,
     make_family,
     random_antichain_family,
@@ -206,6 +208,27 @@ class TestRunSight:
             run_sight(10, SightConfig(a0=3, k_min=2, k_max=4), Oracle(fam), rngs(15)[0])
         with pytest.raises(ValidationError):
             run_sight(10, SightConfig(a0=8, k_min=1, k_max=2), Oracle(fam), rngs(15)[0])
+
+    @pytest.mark.parametrize("initial", MALFORMED_SAMPLES.values(),
+                             ids=MALFORMED_SAMPLES.keys())
+    def test_malformed_initial_sample_rejected(self, initial):
+        fam = make_family(40, [{1, 32}])
+        rng, init = rngs(16)
+        with pytest.raises(ValidationError):
+            run_sight(40, SightConfig(a0=8), Oracle(fam), rng,
+                      init_rng=init, initial_sample=initial)
+
+    def test_numpy_initial_sample_runs_as_ints(self):
+        fam = make_family(40, [{1, 32}])
+        initial = [0, 1, 2, 3, 4, 5, 6, 32]
+        runs = []
+        for nodes in (initial, np.array(initial, dtype=np.uint16)):
+            rng, init = rngs(17)
+            runs.append(run_sight(40, SightConfig(a0=8), Oracle(fam), rng,
+                                  init_rng=init, initial_sample=nodes))
+        assert runs[0] == runs[1]
+        assert runs[1].found == (1, 32)
+        assert all(type(v) is int for v in runs[1].found)
 
     def test_determinism_same_streams_same_trajectory(self):
         fam = generate_family(40, {2: 6, 3: 4, 5: 3}, seed=21)
