@@ -14,8 +14,12 @@ consulted during paired runs.
 
 All randomness is derived from (master seed, a0, run index, role)
 substreams, so results are byte-identical for a given configuration no
-matter how many worker processes execute the grid. With more than one
-thread, one worker pool serves every cell of an experiment.
+matter how many worker processes execute the grid. A cell run in process,
+or a chunk of it run by a worker, derives the Philox keys of all its
+pairs' streams in one pass and resets four reused generators to each
+pair's keys; the initial-test noise stream is rewound by resetting it to
+its key again. With more than one thread, one worker pool serves every
+cell of an experiment.
 """
 
 from __future__ import annotations
@@ -29,11 +33,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .oracle import Oracle, PlantedFamily, TestLedger, _is_int, sample
 from .rc import RcConfig, run_rc
 from .results import RunOutcome, RunResult
-from .rng import ROLE_INIT, ROLE_INIT_NOISE, ROLE_RC, ROLE_SIGHT, spawn_generator
+from .rng import (
+    ROLE_INIT,
+    ROLE_INIT_NOISE,
+    ROLE_RC,
+    ROLE_SIGHT,
+    reset_generator,
+    stream_keys,
+)
 from .sight import SightConfig, run_sight
 from .stats import MannWhitneyResult, mann_whitney_u
 
@@ -133,8 +146,44 @@ class CellSummary:
     p_neg: Optional[float]
 
 
+class PairStreams:
+    """The random streams of pairs start..stop-1 of one cell.
+
+    The Philox keys of every pair's four streams (INIT, INIT_NOISE,
+    SIGHT, RC) are derived in one pass; each pair then resets the same
+    four generators to its own keys.
+    """
+
+    def __init__(self, master_seed: int, a0: int, start: int, stop: int) -> None:
+        pairs = np.arange(start, stop)
+        self.cell = (master_seed, a0)
+        self.start = start
+        self.stop = stop
+        # One row per pair: the (lo, hi) keys of INIT, INIT_NOISE, SIGHT, RC.
+        self.keys = np.hstack([
+            stream_keys(master_seed, a0, pairs, ROLE_INIT),
+            stream_keys(master_seed, pairs, ROLE_INIT_NOISE),
+            stream_keys(master_seed, a0, pairs, ROLE_SIGHT),
+            stream_keys(master_seed, a0, pairs, ROLE_RC),
+        ])
+        self.generators = tuple(
+            np.random.Generator(np.random.Philox(key=0)) for _ in range(4)
+        )
+
+    def pair_keys(self, master_seed: int, a0: int, pair_id: int) -> list[list[int]]:
+        """The INIT, INIT_NOISE, SIGHT and RC keys of one pair of cell (master_seed, a0)."""
+        if (master_seed, a0) != self.cell or not self.start <= pair_id < self.stop:
+            raise ValueError(f"pair {pair_id} (a0={a0}) is not one of these streams' pairs")
+        row = self.keys[pair_id - self.start].tolist()
+        return [row[i:i + 2] for i in range(0, 8, 2)]
+
+
 def run_pair(
-    family: PlantedFamily, config: ExperimentConfig, a0: int, pair_id: int
+    family: PlantedFamily,
+    config: ExperimentConfig,
+    a0: int,
+    pair_id: int,
+    streams: Optional[PairStreams] = None,
 ) -> PairResult:
     """Execute one paired run.
 
@@ -142,34 +191,39 @@ def run_pair(
     samplers start from it. Every later query either sampler makes is a
     subset of S, so both ask an oracle whose truth is the family's
     projection onto S. Both also see the same initial-test noise draw:
-    rc gets the INIT_NOISE generator rewound to the state sight started
-    from. Their decision/noise streams afterwards are independent
-    substreams, so a pair spawns four generators. The initial-test noise
+    before rc starts, the INIT_NOISE generator is reset to its key, which
+    rewinds it to where sight started. Their decision/noise streams
+    afterwards are independent substreams. The initial-test noise
     substream is keyed without a0, so cells of different initial sizes
     also share it (common random numbers: at saturation the same pairs
     flip to false negatives in every cell).
+
+    `streams` holds the stream keys of a chunk of pairs of this cell that
+    includes `pair_id`; without it, the pair derives its keys as a chunk
+    of one.
     """
-    seed = config.master_seed
-    s = sample(
-        range(family.universe_size), a0, spawn_generator(seed, a0, pair_id, ROLE_INIT)
-    )
+    if streams is None:
+        streams = PairStreams(config.master_seed, a0, pair_id, pair_id + 1)
+    keys = streams.pair_keys(config.master_seed, a0, pair_id)
+    for generator, key in zip(streams.generators, keys):
+        reset_generator(generator, key)
+    init_rng, init_noise_rng, sight_rng, rc_rng = streams.generators
+    s = sample(range(family.universe_size), a0, init_rng)
     oracle = Oracle(family.project(s), config.p_fn)
-    init_noise_rng = spawn_generator(seed, pair_id, ROLE_INIT_NOISE)
-    init_noise_state = init_noise_rng.bit_generator.state
     sight_res = run_sight(
         family.universe_size,
         SightConfig(a0, config.k_min, config.k_max),
         oracle,
-        spawn_generator(seed, a0, pair_id, ROLE_SIGHT),
+        sight_rng,
         init_noise_rng=init_noise_rng,
         initial_sample=s,
     )
-    init_noise_rng.bit_generator.state = init_noise_state
+    reset_generator(init_noise_rng, keys[1])
     rc_res = run_rc(
         family.universe_size,
         RcConfig(a0, config.k_min, config.k_max, config.t_max),
         oracle,
-        spawn_generator(seed, a0, pair_id, ROLE_RC),
+        rc_rng,
         init_noise_rng=init_noise_rng,
         initial_sample=s,
     )
@@ -188,7 +242,11 @@ def _init_worker(family: PlantedFamily, config: ExperimentConfig) -> None:
 
 def _run_chunk(a0: int, start: int, stop: int) -> list[PairResult]:
     assert _worker_family is not None and _worker_config is not None
-    return [run_pair(_worker_family, _worker_config, a0, j) for j in range(start, stop)]
+    streams = PairStreams(_worker_config.master_seed, a0, start, stop)
+    return [
+        run_pair(_worker_family, _worker_config, a0, j, streams)
+        for j in range(start, stop)
+    ]
 
 
 def run_cell(
@@ -205,7 +263,8 @@ def run_cell(
     """
     runs = config.runs_per_cell
     if pool is None:
-        return [run_pair(family, config, a0, j) for j in range(runs)]
+        streams = PairStreams(config.master_seed, a0, 0, runs)
+        return [run_pair(family, config, a0, j, streams) for j in range(runs)]
     chunk = max(1, -(-runs // (config.threads * 4)))
     futures = [
         pool.submit(_run_chunk, a0, start, min(start + chunk, runs))
@@ -499,6 +558,12 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
         isinstance(found, list) and all(_is_int(v) for v in found)
     ):
         raise ValueError("run record 'found_set' is not null or a list of integers")
+    if found is not None and not (
+        len(found) >= 2 and found[0] >= 0
+        and all(a < b for a, b in zip(found, found[1:]))
+    ):
+        raise ValueError("run record 'found_set' is not a strictly ascending list "
+                         "of at least two nonnegative node ids")
     if (found is not None) != (outcome is RunOutcome.FOUND):
         raise ValueError(f"run record 'found_set' does not fit outcome {outcome.value}")
     k = rec["k"]
@@ -530,9 +595,12 @@ def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[Pair
     Returns the a0 grid in first-appearance order and the pairs per cell.
     Records are expected in pair order, deterministic-sampler record
     first within each pair. Every cell must hold pairs 0..n-1 with one
-    record per algorithm, and every cell the same n. A malformed record,
-    a repeated (a0, seed, algorithm) record, a gap in pair ids or a cell
-    of a different length raises ValidationError naming a line.
+    record per algorithm, and every cell the same n. Both samplers of a
+    pair test the same initial sample with the same noise draw, so either
+    both records abort at the initial test or neither does. A malformed
+    record, a repeated (a0, seed, algorithm) record, a gap in pair ids, a
+    pair whose sides disagree on the initial test or a cell of a different
+    length raises ValidationError naming a line.
     """
     grid: list[int] = []
     cells: dict[int, dict[int, dict[str, RunResult]]] = {}
@@ -572,9 +640,16 @@ def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[Pair
                     f"{path}:{lineno}: run log pair {pair_id} (a0={a0}) is "
                     "missing one algorithm"
                 )
-            pairs.append(
-                PairResult(pair_id=pair_id, sight=sides["sight"], rc=sides["rc"])
-            )
+            sight, rc = sides["sight"], sides["rc"]
+            if (sight.outcome is RunOutcome.ABORT_INITIAL) != (
+                rc.outcome is RunOutcome.ABORT_INITIAL
+            ):
+                raise ValidationError(
+                    f"{path}:{lineno}: run log pair {pair_id} (a0={a0}) has "
+                    f"sight {sight.outcome.value} and rc {rc.outcome.value}, but "
+                    "both or neither must be AbortInitial"
+                )
+            pairs.append(PairResult(pair_id=pair_id, sight=sight, rc=rc))
         pairs_by_a0[a0] = pairs
         if len(pairs) != len(pairs_by_a0[grid[0]]):
             raise ValidationError(

@@ -6,9 +6,20 @@ coordinates (initial set size, run index, stream role). Substreams with
 the same derivation are value-identical no matter where or in what order
 they are instantiated, which is what makes paired runs and parallel
 execution reproducible.
+
+`spawn_generator` is the reference definition of a substream: numpy's
+`SeedSequence(master_seed, spawn_key=key)` hashed to a 128-bit Philox
+key. A Philox stream is wholly identified by that key (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so `stream_keys`
+replays the same hash as elementwise uint32 arithmetic and derives the
+keys of many substreams in one pass, and `reset_generator` points a
+reused generator at the start of any of them.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -30,3 +41,128 @@ def spawn_generator(master_seed: int, *key: int) -> np.random.Generator:
         raise ValueError("master_seed must be nonnegative")
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# The constants of numpy's SeedSequence hash (O'Neill's `seed_seq`).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, start: int, count: int) -> list[int]:
+    """Hash constants start..start+count of the chain init * mult**i."""
+    return [init * pow(mult, i, 1 << 32) & _MASK32 for i in range(start, start + count)]
+
+
+def _hashmix(value: int, i: int) -> int:
+    """The i-th call of `mix_entropy`'s hashmix, on one word."""
+    a, b = _hash_consts(_INIT_A, _MULT_A, i, 2)
+    value = ((value ^ a) * b) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """The entropy pool after every word of the master seed, and hashmix calls so far.
+
+    With a spawn key, numpy pads the seed's words to the pool size, so the
+    pool depends on the seed alone until the spawn-key words arrive.
+    """
+    words = []
+    while True:
+        words.append(master_seed & _MASK32)
+        master_seed >>= 32
+        if not master_seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    pool = [_hashmix(words[i], i) for i in range(_POOL_SIZE)]
+    calls = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], calls))
+                calls += 1
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, calls))
+            calls += 1
+    return tuple(pool), calls
+
+
+@functools.lru_cache(maxsize=64)
+def _const_column(init: int, mult: int, start: int) -> np.ndarray:
+    """Constants start..start+4 of a hash chain, as a read-only uint32 column."""
+    column = np.array(_hash_consts(init, mult, start, _POOL_SIZE + 1), np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _key_column(value) -> np.ndarray:
+    """One spawn-key entry as uint32 words; numpy would split larger values."""
+    col = np.asarray(value)
+    if col.ndim > 1:
+        raise ValueError("spawn key entries must be integers or 1-D arrays")
+    if col.dtype.kind not in "iu" or col.size and (col.min() < 0 or col.max() > _MASK32):
+        raise ValueError("spawn key entries must be integers in [0, 2**32)")
+    return col.astype(np.uint32)
+
+
+def stream_keys(master_seed: int, *key) -> np.ndarray:
+    """Philox keys of the substreams (master_seed, *key), one row per substream.
+
+    Each entry of `key` is an integer or a 1-D integer array, and the
+    arrays have one length. Row i is the (lo, hi) uint64 key that
+    `spawn_generator(master_seed, *key_i)` seeds its Philox with, where
+    key_i takes the i-th value of every array entry.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError("master_seed must be nonnegative")
+    if not key:
+        raise ValueError("a spawn key needs at least one entry")
+    columns = [_key_column(v) for v in key]
+    seed_pool, calls = _seed_pool(master_seed)
+    pool = np.array(seed_pool, np.uint32)[:, None]
+    # Each spawn-key word is hashed once per pool word, with consecutive
+    # constants, and mixed into that word; broadcasting makes the pool one
+    # column per substream.
+    for col in columns:
+        consts = _const_column(_INIT_A, _MULT_A, calls)
+        calls += _POOL_SIZE
+        h = (col ^ consts[:-1]) * consts[1:]
+        h ^= h >> 16
+        pool = _MIX_MULT_L * pool - _MIX_MULT_R * h
+        pool ^= pool >> 16
+    # generate_state(2, np.uint64): four words, one per pool word.
+    consts = _const_column(_INIT_B, _MULT_B, 0)
+    state = (pool ^ consts[:-1]) * consts[1:]
+    state ^= state >> 16
+    # Read word pairs as little-endian uint64, as generate_state does.
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def reset_generator(generator: np.random.Generator, key) -> None:
+    """Point a Philox `generator` at the start of the substream with `key`.
+
+    The counter, the output buffer and any cached 32-bit half go back to
+    their state in a freshly seeded Philox, so the generator then draws
+    exactly what `Generator(Philox(key=key))` would.
+    """
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import PlantedFamily
+from groupsight import PlantedFamily, RunOutcome
 from groupsight.cli import main
 from groupsight.harness import read_run_log
 
@@ -419,16 +419,52 @@ class TestStats:
         assert err.startswith(f"error: {log}:{at + 1}: ")
         assert f"{algorithm} run record has outcome {outcome}" in err
 
-    def test_positive_abort_step_is_read(self, run_log_file, tmp_path):
-        lines = run_log_file.read_text().splitlines()
-        at = next(i for i, line in enumerate(lines)
-                  if json.loads(line)["algorithm"] == "rc")
-        lines[at] = json.dumps({**json.loads(lines[at]), "outcome": "AbortAtStep",
-                                "found_set": None, "k": None, "abort_step": 3})
+    @pytest.mark.parametrize(
+        "alteration, message",
+        [
+            ("reversed", "is not a strictly ascending list"),
+            ("repeated", "is not a strictly ascending list"),
+            ("negative", "is not a strictly ascending list"),
+            ("initial-abort", "both or neither must be AbortInitial"),
+        ],
+        ids=["reversed", "repeated", "negative", "initial-abort"],
+    )
+    def test_altered_found_sets_and_initial_aborts_exit_2(
+        self, run_log_records, tmp_path, capsys, alteration, message
+    ):
+        records = [dict(r) for r in run_log_records]
+        if alteration == "initial-abort":
+            at = next(i for i, r in enumerate(records)
+                      if r["algorithm"] == "rc" and r["outcome"] == "AbortInitial")
+            records[at]["outcome"] = "AbortNoMinimal"
+            line = at  # the pair's first line, its sight record, is line at
+        else:
+            at = next(i for i, r in enumerate(records)
+                      if r["algorithm"] == "rc" and r["found_set"])
+            line = at + 1
+            found = records[at]["found_set"]
+            records[at]["found_set"] = {
+                "reversed": found[::-1],
+                "repeated": [found[0]] * len(found),
+                "negative": [-1, *found[1:]],
+            }[alteration]
         log = tmp_path / "altered.jsonl"
-        log.write_text("\n".join(lines) + "\n")
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert run_cli(["stats", "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}:{line}: ") and message in err, err
+
+    def test_positive_abort_step_is_read(self, run_log_records, tmp_path):
+        # A pair that passed its initial test, so rc may abort at a step.
+        records = [dict(r) for r in run_log_records]
+        at = next(i for i, r in enumerate(records)
+                  if r["algorithm"] == "rc" and r["outcome"] == "Found")
+        records[at].update(outcome="AbortAtStep", found_set=None, k=None, abort_step=3)
+        log = tmp_path / "altered.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
         _, cells = read_run_log(log)
-        assert cells[8][at // 2].rc.abort_step == 3
+        assert cells[records[at]["a0"]][records[at]["seed"]].rc.abort_step == 3
 
 
 _DROP = object()
@@ -448,30 +484,48 @@ def _paths(value, path=()):
         yield from _paths(child, path + (key,))
 
 
+_SWAP = object()
+
+
 @st.composite
 def mutated_value(draw, data):
-    """`data` with one nested value dropped, retyped or, if an integer, altered."""
+    """`data` with one nested value dropped, retyped, swapped within its list or,
+    if an integer, altered."""
     data = copy.deepcopy(data)
     *head, last = draw(st.sampled_from(list(_paths(data))))
     parent = reduce(lambda node, key: node[key], head, data)
     value = parent[last]
     options = [_DROP]
+    if isinstance(parent, list) and len(parent) > 1:
+        options.append(_SWAP)
     options.extend(v for v in _OTHER_TYPES if type(v) is not type(value))
     if type(value) is int:
         options.extend([value - 1, value + 1, float(value), False, str(value)])
     choice = draw(st.sampled_from(options))
     if choice is _DROP:
         del parent[last]
+    elif choice is _SWAP:
+        other = draw(st.sampled_from([j for j in range(len(parent)) if j != last]))
+        parent[last], parent[other] = parent[other], value
     else:
         parent[last] = copy.deepcopy(choice)
     return data
 
 
+# A record's outcome and the fields that depend on it.
+_OUTCOME_FIELDS = ("outcome", "found_set", "k", "abort_step")
+
+
 @st.composite
 def mutated_lines(draw, records):
-    """`records` with one record mutated, or one line duplicated, dropped or swapped."""
-    records = list(records)
-    kind = draw(st.sampled_from(["value", "duplicate", "drop", "swap"]))
+    """`records` with one record mutated, one line duplicated, dropped or
+    swapped, or the outcomes of two records swapped.
+
+    An outcome swap is between the two records of a pair or between any
+    two records; records come in pair order, sight first.
+    """
+    records = [dict(r) for r in records]
+    kind = draw(st.sampled_from(["value", "duplicate", "drop", "swap", "outcome"]))
     i = draw(st.integers(0, len(records) - 1))
     if kind == "value":
         records[i] = draw(mutated_value(records[i]))
@@ -479,9 +533,16 @@ def mutated_lines(draw, records):
         records.insert(i, records[i])
     elif kind == "drop":
         del records[i]
-    else:
+    elif kind == "swap":
         j = draw(st.integers(0, len(records) - 1))
         records[i], records[j] = records[j], records[i]
+    else:
+        j = draw(st.one_of(st.just(i ^ 1), st.integers(0, len(records) - 1)))
+        a, b = records[i], records[j]
+        from_a = {key: a.pop(key) for key in _OUTCOME_FIELDS if key in a}
+        from_b = {key: b.pop(key) for key in _OUTCOME_FIELDS if key in b}
+        a.update(from_b)
+        b.update(from_a)
     return records
 
 
@@ -547,6 +608,17 @@ class TestMutatedInputs:
                     for res in (pair.sight, pair.rc)
                 ]
                 assert sorted(map(canonical, read)) == sorted(map(canonical, records))
+                # What a valid log always holds: found sets are strictly
+                # ascending and both sides of a pair abort at the initial
+                # test or neither does.
+                for pair in (p for pairs in cells.values() for p in pairs):
+                    for res in (pair.sight, pair.rc):
+                        if res.found is not None:
+                            assert list(res.found) == sorted(set(res.found))
+                            assert len(res.found) >= 2 and res.found[0] >= 0
+                    assert (pair.sight.outcome is RunOutcome.ABORT_INITIAL) == (
+                        pair.rc.outcome is RunOutcome.ABORT_INITIAL
+                    )
             else:
                 assert code == 2 and err.startswith("error: "), err
 

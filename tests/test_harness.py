@@ -167,6 +167,25 @@ class TestRunPair:
                 outcomes.update((pair.sight.outcome, pair.rc.outcome))
         assert outcomes == set(RunOutcome)
 
+    def test_alone_equals_its_place_in_a_cell_or_chunk(self):
+        # A cell derives its pairs' stream keys in one pass and reuses four
+        # generators; a worker chunk does the same from an offset start.
+        fam = generate_family(60, {2: 10, 3: 10, 5: 300}, seed=31)
+        cfg = ExperimentConfig(
+            a0_grid=(16,), runs_per_cell=12, p_fn=0.05, master_seed=2**40 + 3
+        )
+        alone = [run_pair(fam, cfg, 16, j) for j in range(cfg.runs_per_cell)]
+        assert harness.run_cell(fam, cfg, 16) == alone
+        harness._init_worker(fam, cfg)
+        try:
+            assert harness._run_chunk(16, 5, 9) == alone[5:9]
+        finally:
+            harness._init_worker(None, None)
+        streams = harness.PairStreams(cfg.master_seed, 16, 5, 9)
+        for a0, j in [(16, 4), (16, 9), (32, 5)]:
+            with pytest.raises(ValueError, match="is not one of these streams' pairs"):
+                run_pair(fam, cfg, a0, j, streams)
+
     def test_unique_minimal_set_forces_identical_finds(self):
         fam = make_family(16, [{0, 1}])
         cfg = ExperimentConfig(a0_grid=(10,), runs_per_cell=300, master_seed=23)

@@ -1,8 +1,16 @@
-"""Substream derivation: reproducible, role-separated streams."""
+"""Substream derivation: reproducible, role-separated streams.
 
+`stream_keys` replays numpy's SeedSequence hash, so it is checked here
+against `SeedSequence` and `spawn_generator` themselves.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupsight import ROLE_INIT, ROLE_RC, ROLE_SIGHT, spawn_generator
+from groupsight.rng import ROLE_INIT_NOISE, reset_generator, stream_keys
 
 
 def test_same_key_yields_identical_streams():
@@ -30,3 +38,92 @@ def test_run_index_and_seed_separate_streams():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         spawn_generator(-1, 0)
+
+
+# Seeds at the edges of numpy's word encoding: one word, the last
+# one-word value, two words, beyond 2^46 and more than two words.
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**46 + 12345, 2**64 + 7, 2**130 + 2**90 + 3]
+EDGE_WORDS = [0, 1, 2**32 - 1]
+
+
+def reference_key(seed, *key):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_stream_keys_match_seed_sequence_at_edges(seed, words):
+    columns = [np.array(EDGE_WORDS) for _ in range(words)]
+    columns[-1] = columns[-1][::-1]
+    keys = stream_keys(seed, *columns)
+    assert keys.dtype == np.uint64 and keys.shape == (len(EDGE_WORDS), 2)
+    for i, row in enumerate(keys):
+        key = tuple(int(col[i]) for col in columns)
+        assert row.tolist() == reference_key(seed, *key).tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**70)),
+    rows=st.integers(1, 4).flatmap(lambda words: st.lists(
+        st.lists(st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1)),
+                 min_size=words, max_size=words),
+        min_size=1, max_size=5,
+    )),
+)
+def test_stream_keys_match_seed_sequence(seed, rows):
+    columns = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+    keys = stream_keys(seed, *columns)
+    assert [row.tolist() for row in keys] == [
+        reference_key(seed, *row).tolist() for row in rows
+    ]
+
+
+def test_stream_keys_broadcast_scalar_entries():
+    pairs = np.arange(3, 9)
+    keys = stream_keys(42, 16, pairs, ROLE_SIGHT)
+    for row, j in zip(keys, pairs):
+        assert row.tolist() == stream_keys(42, 16, int(j), ROLE_SIGHT)[0].tolist()
+        assert row.tolist() == reference_key(42, 16, int(j), ROLE_SIGHT).tolist()
+
+
+def test_stream_keys_reject_a_negative_seed_as_spawn_generator_does():
+    with pytest.raises(ValueError) as reference:
+        spawn_generator(-1, 0)
+    with pytest.raises(ValueError, match=str(reference.value)):
+        stream_keys(-1, 0)
+
+
+@pytest.mark.parametrize("column", [2**32, np.array([0, 2**32]), 2**64, -1,
+                                    np.array([-1, 3]), 1.0, np.zeros((2, 2), int)])
+def test_stream_keys_reject_entries_numpy_would_not_hash_as_one_word(column):
+    # numpy encodes 2^32 and above as two or more words, which would make
+    # the column ragged.
+    with pytest.raises(ValueError, match="spawn key entries must be integers"):
+        stream_keys(1, 0, column)
+
+
+def test_reset_generator_draws_like_spawn_generator():
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for key in [(16, 3, ROLE_INIT), (2**32 - 1, 0, ROLE_RC), (7, ROLE_INIT_NOISE)]:
+        for draw in (
+            lambda g: g.random(5).tolist(),
+            lambda g: g.integers(0, 1000, 7).tolist(),
+            lambda g: g.choice(40, 8, replace=False).tolist(),
+        ):
+            reset_generator(gen, stream_keys(2**40 + 9, *key)[0].tolist())
+            assert draw(gen) == draw(spawn_generator(2**40 + 9, *key))
+
+
+def test_reset_clears_a_cached_32_bit_half():
+    gen = np.random.Generator(np.random.Philox(key=0))
+    key = stream_keys(5, 8, 1, ROLE_INIT)[0].tolist()
+    reset_generator(gen, key)
+    gen.random(dtype=np.float32)
+    assert gen.bit_generator.state["has_uint32"] == 1
+    reset_generator(gen, key)
+    ref = spawn_generator(5, 8, 1, ROLE_INIT)
+    assert gen.bit_generator.state["has_uint32"] == 0
+    assert gen.random(dtype=np.float32) == ref.random(dtype=np.float32)
+    assert gen.integers(0, 2**31, 3).tolist() == ref.integers(0, 2**31, 3).tolist()
+    assert gen.random(4).tolist() == ref.random(4).tolist()
