@@ -48,7 +48,7 @@ from .rng import (
     stream_keys,
 )
 from .sight import SightConfig, run_sight
-from .stats import MannWhitneyResult, mann_whitney_u
+from .stats import mann_whitney_u
 
 DEFAULT_RHOS = (1.0, 10.0, 50.0, 100.0)
 
@@ -309,23 +309,6 @@ def amortize(
     return records, TestLedger(positives=pending_pos, negatives=pending_neg)
 
 
-def _mw_or_none(
-    x: Sequence[float], y: Sequence[float]
-) -> tuple[Optional[MannWhitneyResult], Optional[MannWhitneyResult]]:
-    """Mann-Whitney of x vs y, reported from each side's perspective."""
-    if not x or not y:
-        return None, None
-    res_x = mann_whitney_u(x, y)
-    res_y = MannWhitneyResult(
-        u_x=res_x.u_y,
-        u_y=res_x.u_x,
-        p_value=res_x.p_value,
-        method=res_x.method,
-        smaller=res_x.smaller,
-    )
-    return res_x, res_y
-
-
 def summarize_cell(
     a0: int,
     pairs: Sequence[PairResult],
@@ -350,21 +333,17 @@ def summarize_cell(
         else None
     )
 
-    mw_total = _mw_or_none(
-        [r.amortized_total for r in records["sight"]],
-        [r.amortized_total for r in records["rc"]],
-    )
-    mw_pos = _mw_or_none(
-        [r.amortized_positives for r in records["sight"]],
-        [r.amortized_positives for r in records["rc"]],
-    )
-    mw_neg = _mw_or_none(
-        [r.amortized_negatives for r in records["sight"]],
-        [r.amortized_negatives for r in records["rc"]],
+    def u_test(metric: str):
+        """Mann-Whitney of sight's vs rc's `metric`, or None if either has no find."""
+        x, y = ([getattr(r, metric) for r in records[alg]] for alg in ("sight", "rc"))
+        return mann_whitney_u(x, y) if x and y else None
+
+    mw_t, mw_p, mw_n = map(
+        u_test, ("amortized_total", "amortized_positives", "amortized_negatives")
     )
 
     summaries = []
-    for side, alg in enumerate(("sight", "rc")):
+    for alg in ("sight", "rc"):
         results = by_alg[alg]
         recs = records[alg]
         runs = len(results)
@@ -389,7 +368,8 @@ def summarize_cell(
             med_pos = med_neg = med_total = None
             k_props = {}
             costs = {}
-        mw_t, mw_p, mw_n = mw_total[side], mw_pos[side], mw_neg[side]
+        # One test per metric: the rc row reports rc's U and the shared p.
+        u = "u_x" if alg == "sight" else "u_y"
         summaries.append(
             CellSummary(
                 algorithm=alg,
@@ -405,11 +385,11 @@ def summarize_cell(
                 k_proportions=k_props,
                 prop_identical=prop_identical,
                 costs=costs,
-                u_total=None if mw_t is None else mw_t.u_x,
+                u_total=None if mw_t is None else getattr(mw_t, u),
                 p_total=None if mw_t is None else mw_t.p_value,
-                u_pos=None if mw_p is None else mw_p.u_x,
+                u_pos=None if mw_p is None else getattr(mw_p, u),
                 p_pos=None if mw_p is None else mw_p.p_value,
-                u_neg=None if mw_n is None else mw_n.u_x,
+                u_neg=None if mw_n is None else getattr(mw_n, u),
                 p_neg=None if mw_n is None else mw_n.p_value,
             )
         )

@@ -65,21 +65,23 @@ class PlantedFamily:
     `planted` holds canonical (strictly ascending) tuples over the node
     range [0, universe_size). Construction checks them on the row store
     behind `project` (see `_row_store`), which it builds once and keeps
-    in `_tiers`; a pickled family carries the store. The subset-query
+    in `_rows`; a pickled family carries the store. The subset-query
     index is never pickled; worker processes rebuild it on first use.
+    Neither is a constructor argument, so `dataclasses.replace` builds
+    both afresh for the new sets.
     """
 
     universe_size: int
     planted: tuple[KSet, ...]
     seed: int | None = None
-    _index: object = field(default=None, compare=False, repr=False)
-    _tiers: object = field(default=None, compare=False, repr=False)
+    _index: object = field(default=None, init=False, compare=False, repr=False)
+    _rows: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.universe_size < 1:
             raise ValidationError("universe_size must be positive")
         object.__setattr__(
-            self, "_tiers", _row_store(self.universe_size, self.planted)
+            self, "_rows", _row_store(self.universe_size, self.planted)
         )
 
     def __getstate__(self):
@@ -107,7 +109,7 @@ class PlantedFamily:
         inside = np.zeros(self.universe_size, dtype=bool)
         inside[given] = True
         members = np.flatnonzero(inside)
-        columns, starts = self._tiers
+        columns, starts = self._rows
         lo = starts.take(members)
         counts = starts.take(members + 1) - lo
         offsets = np.cumsum(counts) - counts

@@ -11,14 +11,14 @@ execution reproducible.
 `SeedSequence(master_seed, spawn_key=key)` hashed to a 128-bit Philox
 key. A Philox stream is wholly identified by that key (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so `stream_keys`
-replays the same hash as elementwise uint32 arithmetic and derives the
-keys of many substreams in one pass, and `reset_generator` points a
-reused generator at the start of any of them.
+takes the master seed's entropy pool from numpy's own `SeedSequence`,
+replays only the hashing of the spawn-key words as elementwise uint32
+arithmetic, and so derives the keys of many substreams in one pass;
+`reset_generator` points a reused generator at the start of any of them.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 import numpy as np
@@ -54,57 +54,11 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 
 
-def _hash_consts(init: int, mult: int, start: int, count: int) -> list[int]:
-    """Hash constants start..start+count of the chain init * mult**i."""
-    return [init * pow(mult, i, 1 << 32) & _MASK32 for i in range(start, start + count)]
-
-
-def _hashmix(value: int, i: int) -> int:
-    """The i-th call of `mix_entropy`'s hashmix, on one word."""
-    a, b = _hash_consts(_INIT_A, _MULT_A, i, 2)
-    value = ((value ^ a) * b) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """The entropy pool after every word of the master seed, and hashmix calls so far.
-
-    With a spawn key, numpy pads the seed's words to the pool size, so the
-    pool depends on the seed alone until the spawn-key words arrive.
-    """
-    words = []
-    while True:
-        words.append(master_seed & _MASK32)
-        master_seed >>= 32
-        if not master_seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    pool = [_hashmix(words[i], i) for i in range(_POOL_SIZE)]
-    calls = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], calls))
-                calls += 1
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, calls))
-            calls += 1
-    return tuple(pool), calls
-
-
-@functools.lru_cache(maxsize=64)
 def _const_column(init: int, mult: int, start: int) -> np.ndarray:
-    """Constants start..start+4 of a hash chain, as a read-only uint32 column."""
-    column = np.array(_hash_consts(init, mult, start, _POOL_SIZE + 1), np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
+    """Constants start..start+4 of the chain init * mult**i, as a uint32 column."""
+    stop = start + _POOL_SIZE + 1
+    consts = [init * pow(mult, i, 1 << 32) & _MASK32 for i in range(start, stop)]
+    return np.array(consts, np.uint32)[:, None]
 
 
 def _key_column(value) -> np.ndarray:
@@ -131,8 +85,14 @@ def stream_keys(master_seed: int, *key) -> np.ndarray:
     if not key:
         raise ValueError("a spawn key needs at least one entry")
     columns = [_key_column(v) for v in key]
-    seed_pool, calls = _seed_pool(master_seed)
-    pool = np.array(seed_pool, np.uint32)[:, None]
+    # With a spawn key numpy pads the seed's words to the pool size with
+    # zeros, which hash as the missing words of an unspawned sequence, so
+    # the pool after the seed is the unspawned one. Mixing it made one
+    # hashmix call per pool word for each seed word, counting at least
+    # `_POOL_SIZE` seed words.
+    pool = np.random.SeedSequence(master_seed).pool[:, None]
+    words = max(1, (master_seed.bit_length() + 31) // 32)
+    calls = _POOL_SIZE * max(_POOL_SIZE, words)
     # Each spawn-key word is hashed once per pool word, with consecutive
     # constants, and mixed into that word; broadcasting makes the pool one
     # column per substream.

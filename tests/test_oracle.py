@@ -1,5 +1,6 @@
 """Planted families, the noisy oracle, sampling, and serialization."""
 
+import dataclasses
 import json
 import math
 import pickle
@@ -286,12 +287,24 @@ class TestProjection:
         clone = pickle.loads(pickle.dumps(fam))
         assert clone._index is None
         assert clone == fam
-        (columns, starts), (clone_columns, clone_starts) = fam._tiers, clone._tiers
+        (columns, starts), (clone_columns, clone_starts) = fam._rows, clone._rows
         assert len(clone_columns) == len(columns)
         for col, clone_col in zip(columns, clone_columns):
             assert clone_col.dtype == col.dtype and np.array_equal(clone_col, col)
         assert np.array_equal(clone_starts, starts)
         assert clone.project(range(20)).sets == fam.project(range(20)).sets
+
+    def test_replace_rebuilds_index_and_row_store(self):
+        fam = PlantedFamily(6, ((1, 2),))
+        assert fam.contains_defective([1, 2])
+        other = dataclasses.replace(fam, planted=((3, 4),))
+        assert not other.contains_defective([1, 2])
+        assert other.contains_defective([3, 4])
+        assert other.project([1, 2, 3, 4]).sets == (frozenset({3, 4}),)
+        with pytest.raises(TypeError):
+            PlantedFamily(6, ((3, 4),), _index=fam.index())
+        with pytest.raises(TypeError):
+            PlantedFamily(6, ((3, 4),), _rows=fam._rows)
 
 
 class TestIsDefective:

@@ -41,8 +41,13 @@ def test_negative_seed_rejected():
 
 
 # Seeds at the edges of numpy's word encoding: one word, the last
-# one-word value, two words, beyond 2^46 and more than two words.
-EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**46 + 12345, 2**64 + 7, 2**130 + 2**90 + 3]
+# one-word value, two words, beyond 2^46, three words, four words (the
+# entropy pool's size) up to the last four-word value, and five words,
+# where the seed outgrows the pool.
+EDGE_SEEDS = [
+    0, 2**32 - 1, 2**32, 2**46 + 12345, 2**64 + 7, 2**96, 2**128 - 1, 2**128,
+    2**130 + 2**90 + 3,
+]
 EDGE_WORDS = [0, 1, 2**32 - 1]
 
 
