@@ -26,7 +26,7 @@ from .harness import (
     write_run_log,
     write_summary_csv,
 )
-from .oracle import PlantedFamily, generate_family
+from .oracle import PlantedFamily, _is_int, generate_family
 from .rc import build_schedule
 
 EXIT_VALIDATION = 2
@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--tmax", type=int, default=20)
 
     st = sub.add_parser("stats", help="recompute summaries from a run log")
-    st.add_argument("--log", required=True, help="run log (one JSON record per line)")
+    st.add_argument("--log", required=True,
+                    help="run log (one JSON record per line); with the run's "
+                         "config.json beside it, every record must keep the "
+                         "worst-case bounds of its kmin, kmax and tmax")
     st.add_argument("--rho", help="comma-separated cost ratios")
     st.add_argument("--label", default="family")
     st.add_argument("-o", "--out", help="summary CSV path (stdout when omitted)")
@@ -207,10 +210,29 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _logged_bounds(log: str | Path) -> tuple[int, int, int] | None:
+    """(k_min, k_max, t_max) from the `config.json` beside a run log, if any."""
+    path = Path(log).parent / "config.json"
+    if not path.exists():
+        return None
+    try:
+        echo = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    if not isinstance(echo, dict):
+        raise ValidationError(f"{path}: not a JSON object")
+    bounds = tuple(echo.get(key) for key in ("kmin", "kmax", "tmax"))
+    k_min, k_max, t_max = bounds
+    if not (all(map(_is_int, bounds)) and 2 <= k_min <= k_max and t_max >= 1):
+        raise ValidationError(f"{path}: kmin, kmax and tmax must be integers "
+                              "with 2 <= kmin <= kmax and tmax >= 1")
+    return bounds
+
+
 def cmd_stats(args) -> int:
     rhos = _parse_float_list(args.rho) if args.rho else DEFAULT_RHOS
     check_rhos(rhos)
-    grid, cells = read_run_log(args.log)
+    grid, cells = read_run_log(args.log, _logged_bounds(args.log))
     summaries = []
     for a0 in grid:
         summaries.extend(summarize_cell(a0, cells[a0], rhos, args.label))

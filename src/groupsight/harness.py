@@ -30,14 +30,16 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
 import numpy as np
 
+from .bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from .errors import ValidationError
 from .oracle import Oracle, PlantedFamily, TestLedger, _is_int, sample
-from .rc import RcConfig, run_rc
+from .rc import RcConfig, build_schedule, run_rc
 from .results import RunOutcome, RunResult
 from .rng import (
     ROLE_INIT,
@@ -569,7 +571,48 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     return rec["a0"], rec["seed"], res
 
 
-def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[PairResult]]]:
+def check_bounds(res: RunResult, k_min: int, k_max: int, t_max: int) -> None:
+    """Raise ValueError unless `res` fits a run with this window and budget.
+
+    A found set must have k_min..k_max members, the tests charged must
+    not exceed the sampler's worst case in `bounds`, nor an rc run's
+    positive tests its worst case, and an rc run can only abort at a step
+    of its schedule.
+    """
+    if res.found is not None and not k_min <= len(res.found) <= k_max:
+        raise ValueError(f"found set of size {len(res.found)} lies outside "
+                         f"sizes {k_min}..{k_max}")
+    most, most_positive, steps = _worst_case(res.algorithm, res.a0, k_min, k_max, t_max)
+    if res.abort_step is not None and res.abort_step > steps:
+        raise ValueError(f"rc abort_step {res.abort_step} is past the {steps} "
+                         "steps of its schedule")
+    if res.ledger.total > most:
+        raise ValueError(f"{res.algorithm} run charges {res.ledger.total} tests, "
+                         f"above its worst case of {most}")
+    if res.ledger.positives > most_positive:
+        raise ValueError(f"{res.algorithm} run charges {res.ledger.positives} "
+                         f"positive tests, above its worst case of {most_positive}")
+
+
+@cache
+def _worst_case(
+    algorithm: str, a0: int, k_min: int, k_max: int, t_max: int
+) -> tuple[int, float, float]:
+    """(tests, positive tests, schedule steps) a run may reach at most.
+
+    A sight run has no schedule, and `bounds` limits its positive tests
+    only before the final search, so both read as infinite.
+    """
+    if algorithm == "sight":
+        return sight_max_tests(a0, k_min, k_max), math.inf, math.inf
+    schedule = build_schedule(a0, k_max)
+    return (rc_max_tests(schedule, t_max, k_min, k_max),
+            rc_max_positive(len(schedule)), len(schedule) - 1)
+
+
+def read_run_log(
+    path: str | Path, bounds: tuple[int, int, int] | None = None
+) -> tuple[tuple[int, ...], dict[int, list[PairResult]]]:
     """Rebuild paired results from a run log written by `write_run_log`.
 
     Returns the a0 grid in first-appearance order and the pairs per cell.
@@ -580,7 +623,9 @@ def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[Pair
     both records abort at the initial test or neither does. A malformed
     record, a repeated (a0, seed, algorithm) record, a gap in pair ids, a
     pair whose sides disagree on the initial test or a cell of a different
-    length raises ValidationError naming a line.
+    length raises ValidationError naming a line. Given `bounds`, the
+    run's (k_min, k_max, t_max), so does a record that fails
+    `check_bounds`.
     """
     grid: list[int] = []
     cells: dict[int, dict[int, dict[str, RunResult]]] = {}
@@ -591,6 +636,8 @@ def read_run_log(path: str | Path) -> tuple[tuple[int, ...], dict[int, list[Pair
             continue
         try:
             a0, pair_id, res = _parse_run_record(line)
+            if bounds is not None:
+                check_bounds(res, *bounds)
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if a0 not in cells:

@@ -11,8 +11,9 @@ positive/negative test ledger.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, combinations
 from math import comb
 from pathlib import Path
@@ -139,16 +140,48 @@ class PlantedFamily:
         """Raise unless the family is an antichain of distinct sets.
 
         Each planted set must contain exactly one planted set: itself.
+        The error names the first set, in `planted` order, that repeats
+        an earlier one, or if none does, the first that contains a
+        smaller planted set. Both checks run on `_set_keys` of the row
+        store, one size at a time.
         """
-        present: set[KSet] = set()
-        for p in self.planted:
-            if p in present:
-                raise _not_antichain(p)
-            present.add(p)
-        sizes = set(map(len, self.planted))
-        for p in self.planted:
-            if _nests(p, present, sizes):
-                raise _not_antichain(p)
+        columns, _ = self._rows
+        if not columns:
+            return
+        # Padding repeats a row's last member, so each rise adds one member.
+        width = np.ones(len(columns[0]), dtype=np.intp)
+        for a, b in zip(columns, columns[1:]):
+            width += a != b
+        n = self.universe_size
+        tiers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        repeated: set[KSet] = set()
+        for k in np.unique(width).tolist():
+            pick = np.flatnonzero(width == k)
+            rows = np.column_stack([col.take(pick) for col in columns[:k]])
+            keys = _set_keys(rows, n)
+            ordered = np.sort(keys)
+            repeats = ordered[1:] == ordered[:-1]
+            if repeats.any():
+                again = np.argsort(keys)[1:][repeats]
+                repeated.update(map(tuple, rows[again].tolist()))
+            tiers[k] = rows, ordered
+        if repeated:
+            seen: set[KSet] = set()
+            for p in self.planted:
+                if p in repeated:
+                    if p in seen:
+                        raise _not_antichain(p)
+                    seen.add(p)
+        sizes = list(tiers)
+        smaller = {k: _SizeKeys(tiers[k][1]) for k in sizes[:-1]}
+        nesting: set[KSet] = set()
+        for k in sizes[1:]:
+            rows = tiers[k][0]
+            for lo in range(0, len(rows), _CHUNK):
+                chunk = rows[lo:lo + _CHUNK]
+                nesting.update(map(tuple, chunk[_nested(chunk, smaller, n)].tolist()))
+        if nesting:
+            raise _not_antichain(next(p for p in self.planted if p in nesting))
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,12 +287,88 @@ def _row_store(
     return columns, starts
 
 
-def _nests(p: KSet, present: set[KSet], sizes: Iterable[int]) -> bool:
-    """Does canonical `p` contain a smaller set of `present`?
+def _set_keys(rows: np.ndarray, universe_size: int) -> np.ndarray:
+    """One key per ascending row of `rows` (last axis: the members).
 
-    `sizes` must include every size in `present`.
+    Keys of rows of one width j sort as the rows do as tuples, and equal
+    keys mean equal rows. The key is the row in mixed radix
+    `universe_size`, an int64 when universe_size**j fits; otherwise it
+    is the row's big-endian bytes, a void scalar that compares bytewise.
     """
-    return any(not present.isdisjoint(combinations(p, k)) for k in sizes if k < len(p))
+    j = rows.shape[-1]
+    if universe_size**j <= 2**63:
+        keys = rows[..., 0].astype(np.int64)
+        for c in range(1, j):
+            keys *= universe_size
+            keys += rows[..., c]
+        return keys
+    digit = np.min_scalar_type(universe_size - 1).newbyteorder(">")
+    wide = np.ascontiguousarray(rows, dtype=digit)
+    return wide.view(f"V{digit.itemsize * j}").reshape(rows.shape[:-1])
+
+
+# 2**64 divided by the golden ratio, rounded to odd: the hash multiplier.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+class _SizeKeys:
+    """The sorted `_set_keys` of the planted sets of one size.
+
+    `holds` answers membership for a whole array of keys. Int64 keys also
+    set bits in a bitmap of 8 to 16 slots per key, indexed by a
+    multiplicative hash (Knuth, TAOCP 3, section 6.4), so that most
+    absent keys are turned away before `searchsorted`.
+    """
+
+    __slots__ = ("keys", "bitmap", "shift")
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.bitmap = None
+        if keys.dtype == np.int64:
+            bits = (8 * len(keys)).bit_length()
+            self.shift = np.uint64(64 - bits)
+            self.bitmap = np.zeros(1 << bits, dtype=bool)
+            self.bitmap[self._slots(keys)] = True
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        return (keys.view(np.uint64) * _GOLDEN) >> self.shift
+
+    def _search(self, queries: np.ndarray) -> np.ndarray:
+        return self.keys.take(np.searchsorted(self.keys, queries), mode="clip") == queries
+
+    def holds(self, queries: np.ndarray) -> np.ndarray:
+        """Mask of the keys in `queries` that are among `keys`."""
+        if self.bitmap is None:
+            return self._search(queries)
+        found = self.bitmap[self._slots(queries)]
+        maybe = np.nonzero(found)
+        found[maybe] = self._search(queries[maybe])
+        return found
+
+
+def _nested(
+    rows: np.ndarray, smaller: Mapping[int, _SizeKeys], universe_size: int
+) -> np.ndarray:
+    """Mask of the ascending `rows` that contain a set of `smaller`.
+
+    `smaller` maps a size j to the keys of the sets of that size; sizes
+    not below the rows' width are skipped. Each size keys every j-column
+    combination of every row at once and looks them all up together.
+    """
+    k = rows.shape[1]
+    hit = np.zeros(len(rows), dtype=bool)
+    for j, tier in smaller.items():
+        if j < k:
+            subsets = _set_keys(rows[:, _combinations(k, j)], universe_size)
+            hit |= tier.holds(subsets).any(axis=1)
+    return hit
+
+
+@cache
+def _combinations(k: int, j: int) -> np.ndarray:
+    """The j-element column combinations of a width-k row, one per row."""
+    return np.array(list(combinations(range(k), j)), dtype=np.intp)
 
 
 def _not_antichain(p: KSet) -> ValidationError:
@@ -361,6 +470,28 @@ def _draw_sets(
     return rows
 
 
+def _extend_sorted(
+    accepted: list[KSet], tier: set[KSet], k: int, universe_size: int
+) -> np.ndarray:
+    """Append the k-sets of `tier` to `accepted` in ascending order.
+
+    Returns their `_set_keys`, sorted, for sorting by key is sorting the
+    tuples. Members are read out `_CHUNK` sets at a time, so that no
+    temporary array outgrows the keys: a larger one, once freed, can
+    raise the peak RSS of what is built after it.
+    """
+    sets = np.fromiter(tier, dtype=object, count=len(tier))
+    parts = []
+    for lo in range(0, len(sets), _CHUNK):
+        part = sets[lo:lo + _CHUNK]
+        rows = np.fromiter(chain.from_iterable(part), dtype=np.int64, count=k * len(part))
+        parts.append(_set_keys(rows.reshape(-1, k), universe_size))
+    keys = np.concatenate(parts)
+    order = np.argsort(keys)
+    accepted.extend(sets[order].tolist())
+    return keys[order]
+
+
 def generate_family(
     universe_size: int,
     counts_by_k: Mapping[int, int],
@@ -374,7 +505,10 @@ def generate_family(
     avoid (a) duplicating an accepted set of its own size and (b)
     containing an accepted smaller set; equal-size sets can never nest.
     Candidates violating either are discarded and redrawn. Deterministic
-    given the seed.
+    given the seed. Each batch of candidates is tested for (b) at once on
+    set keys (`_nested`, the rule `validate_antichain` applies) and for
+    (a) on the tier's set of tuples; a tier is a set, so the order inside
+    a batch does not change what it keeps.
 
     Each candidate is the sorted `rng.choice(universe_size, k,
     replace=False)`, but a tier draws up to `_CHUNK` candidates from one
@@ -409,11 +543,13 @@ def generate_family(
 
     rng = spawn_generator(seed, ROLE_FAMILY)
     accepted: list[KSet] = []
+    # The keys of each finished tier; all are smaller than k.
+    smaller: dict[int, _SizeKeys] = {}
     # One int object per node, shared by every planted set.
     universe = np.fromiter(range(universe_size), dtype=object, count=universe_size)
-    for k in sorted(counts):
+    sizes = sorted(counts)
+    for k in sizes:
         target = counts[k]
-        smaller = set(accepted)  # accepted sets are all smaller than k
         tier: set[KSet] = set()
         budget = attempts_per_set * max(target, 1)
         while len(tier) < target:
@@ -424,12 +560,14 @@ def generate_family(
                 )
             batch = min(target - len(tier), budget, _CHUNK)
             budget -= batch
-            rows = universe[_draw_sets(rng, universe_size, k, batch)].tolist()
-            for cand in map(tuple, rows):
-                if cand in tier or _nests(cand, smaller, counts):
-                    continue
-                tier.add(cand)
-        accepted.extend(sorted(tier))
+            rows = _draw_sets(rng, universe_size, k, batch)
+            rows = rows[~_nested(rows, smaller, universe_size)]
+            tier.update(map(tuple, universe[rows].tolist()))
+        keys = _extend_sorted(accepted, tier, k, universe_size)
+        if k != sizes[-1]:
+            smaller[k] = _SizeKeys(keys)
+        # Not kept beside the row store built below, where the peak RSS is.
+        del keys
     return PlantedFamily(
         universe_size=universe_size, planted=tuple(accepted), seed=seed
     )

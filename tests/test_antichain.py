@@ -1,0 +1,216 @@
+"""The antichain rule on set keys, against the tuple walk it replaced.
+
+Generation and validation test nesting on integer (or, for wide
+families, byte-string) keys of each set with `searchsorted`. The
+references here walk every candidate's `combinations` in Python instead,
+one set at a time, which is how both worked before.
+"""
+
+from itertools import combinations
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupsight import InfeasibleCountsError, PlantedFamily, ValidationError, generate_family
+from groupsight.oracle import _CHUNK, _draw_sets, _set_keys
+from groupsight.rng import ROLE_FAMILY, spawn_generator
+
+
+def nests(p, present, sizes) -> bool:
+    """Does canonical `p` contain a smaller set of `present`?"""
+    return any(not present.isdisjoint(combinations(p, k)) for k in sizes if k < len(p))
+
+
+def reference_offender(planted):
+    """The set `validate_antichain` must name, or None for an antichain.
+
+    The first set repeating an earlier one; if none, the first set that
+    contains a smaller planted set.
+    """
+    present = set()
+    for p in planted:
+        if p in present:
+            return p
+        present.add(p)
+    sizes = set(map(len, planted))
+    return next((p for p in planted if nests(p, present, sizes)), None)
+
+
+def reference_generate(universe_size, counts, seed, attempts_per_set=1000):
+    """`generate_family`'s planted sets, tested one candidate at a time."""
+    counts = {k: c for k, c in counts.items() if c}
+    rng = spawn_generator(seed, ROLE_FAMILY)
+    accepted = []
+    for k in sorted(counts):
+        target = counts[k]
+        smaller = set(accepted)
+        tier = set()
+        budget = attempts_per_set * target
+        while len(tier) < target:
+            if budget <= 0:
+                raise InfeasibleCountsError(
+                    f"retry budget exhausted generating size-{k} sets "
+                    f"({len(tier)}/{target} placed)"
+                )
+            batch = min(target - len(tier), budget, _CHUNK)
+            budget -= batch
+            for cand in map(tuple, _draw_sets(rng, universe_size, k, batch).tolist()):
+                if cand not in tier and not nests(cand, smaller, counts):
+                    tier.add(cand)
+        accepted.extend(sorted(tier))
+    return tuple(accepted)
+
+
+def outcome(make):
+    """The value `make()` returns, or the type and text of what it raises."""
+    try:
+        return make()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def validation_outcome(universe_size, planted):
+    return outcome(
+        lambda: PlantedFamily(universe_size=universe_size, planted=planted).validate_antichain()
+    )
+
+
+def expected_validation(planted):
+    offender = reference_offender(planted)
+    if offender is None:
+        return None
+    message = f"family is not an antichain of distinct sets (offending set {offender})"
+    return ValidationError, message
+
+
+@st.composite
+def small_families(draw):
+    """Random planted sets over a few nodes, with nests and repeats mixed in."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    canonical_set = st.integers(min_value=2, max_value=min(n, 5)).flatmap(
+        lambda k: st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    ).map(lambda s: tuple(sorted(s)))
+    planted = draw(st.lists(canonical_set, max_size=12, unique=True))
+    for _ in range(draw(st.integers(0, 3))):
+        if not planted:
+            break
+        p = planted[draw(st.integers(0, len(planted) - 1))]
+        if draw(st.booleans()):
+            planted.insert(draw(st.integers(0, len(planted))), p)
+        else:
+            extra = draw(st.sets(st.integers(0, n - 1), max_size=3))
+            planted.insert(draw(st.integers(0, len(planted))), tuple(sorted(set(p) | extra)))
+    return n, tuple(planted)
+
+
+class TestValidationMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(family=small_families())
+    def test_same_verdict_and_same_offending_set(self, family):
+        n, planted = family
+        assert validation_outcome(n, planted) == expected_validation(planted)
+
+    @pytest.mark.parametrize(
+        "planted, offender",
+        [
+            # A nest comes earlier, but a repeat is named first.
+            (((0, 1), (0, 1, 2), (3, 4), (5, 6), (3, 4)), (3, 4)),
+            # Of two repeated sets, the one whose second copy comes first.
+            (((0, 1), (2, 3), (2, 3), (0, 1)), (2, 3)),
+            # Of two nests, the earlier in `planted` order, not by size.
+            (((2, 3), (0, 2, 3, 5), (1, 2, 3), (7, 8)), (0, 2, 3, 5)),
+        ],
+        ids=["repeat-before-nest", "first-second-copy", "first-nest"],
+    )
+    def test_named_offender(self, planted, offender):
+        assert reference_offender(planted) == offender
+        assert validation_outcome(10, planted) == expected_validation(planted)
+
+
+class TestGenerationMatchesReference:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=5, max_value=40),
+        counts=st.dictionaries(st.integers(2, 5), st.integers(0, 60), max_size=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_family_or_same_error(self, n, counts, seed):
+        counts = {k: min(c, comb(n, k)) for k, c in counts.items()}
+
+        def ours():
+            return generate_family(n, counts, seed, attempts_per_set=20).planted
+
+        def reference():
+            return reference_generate(n, counts, seed, attempts_per_set=20)
+
+        assert outcome(ours) == outcome(reference)
+
+
+# Each side of the int64 key limit, for the largest size below the top
+# one (the widest key that generation looks up) and for the top size
+# (the widest key that validation sorts).
+EDGE_FAMILIES = [
+    pytest.param(1000, {2: 40, 6: 60, 7: 60}, id="n1000-k6-fits-k7-wide"),
+    pytest.param(1000, {3: 20, 7: 40, 8: 40}, id="n1000-k7-wide-k8"),
+    pytest.param(20_000, {2: 50, 4: 60, 5: 60}, id="n20000-k4-fits-k5-wide"),
+    pytest.param(20_000, {3: 40, 5: 40, 6: 40}, id="n20000-k5-wide"),
+]
+
+
+class TestKeyWidth:
+    @pytest.mark.parametrize(
+        "universe_size, width, dtype",
+        [
+            (2**21, 3, np.int64),  # n**3 is 2**63: every key fits
+            (2**21 + 1, 3, np.void),
+            (1000, 6, np.int64),
+            (1000, 7, np.void),
+            (1000, 8, np.void),
+            (20_000, 4, np.int64),
+            (20_000, 5, np.void),
+            (70_000, 2, np.int64),
+            (2**32 + 5, 2, np.void),
+        ],
+    )
+    def test_keys_sort_and_match_as_the_tuples_do(self, universe_size, width, dtype):
+        rng = np.random.default_rng(universe_size + width)
+        rows = np.sort(rng.integers(0, universe_size, size=(300, width)), axis=1)
+        # The largest ascending row, thrice.
+        rows[:3] = np.arange(universe_size - width, universe_size)
+        rows[3] = np.arange(width)
+        rows[4] = rows[5]
+        keys = _set_keys(rows, universe_size)
+        assert keys.dtype.type is dtype
+        assert keys.shape == (300,)
+        tuples = list(map(tuple, rows.tolist()))
+        assert [tuples[i] for i in np.argsort(keys, kind="stable")] == sorted(tuples)
+        equal = keys[:, None] == keys[None, :]
+        assert (equal == (rows[:, None, :] == rows[None, :, :]).all(axis=2)).all()
+
+    @pytest.mark.parametrize("universe_size, counts", EDGE_FAMILIES)
+    def test_generation_matches_reference(self, universe_size, counts):
+        family = generate_family(universe_size, counts, seed=7)
+        assert family.planted == reference_generate(universe_size, counts, seed=7)
+        family.validate_antichain()
+
+    @pytest.mark.parametrize("universe_size, counts", EDGE_FAMILIES)
+    def test_validation_names_a_nested_set(self, universe_size, counts):
+        planted = generate_family(universe_size, counts, seed=7).planted
+        top = max(counts)
+        for inner_size in sorted(counts)[:-1]:
+            inner = next(p for p in planted if len(p) == inner_size)
+            fill = (v for v in range(universe_size) if v not in inner)
+            outer = tuple(sorted(inner + tuple(next(fill) for _ in range(top - inner_size))))
+            bad = planted[:-3] + (outer,) + planted[-3:]
+            assert validation_outcome(universe_size, bad) == expected_validation(bad)
+            assert reference_offender(bad) == outer
+
+    @pytest.mark.parametrize("universe_size, counts", EDGE_FAMILIES)
+    def test_validation_names_a_repeated_top_set(self, universe_size, counts):
+        planted = generate_family(universe_size, counts, seed=7).planted
+        bad = planted + (planted[-5],)
+        assert validation_outcome(universe_size, bad) == expected_validation(bad)
+        assert reference_offender(bad) == planted[-5]

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsight import PlantedFamily, RunOutcome
+from groupsight.bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from groupsight.cli import main
 from groupsight.harness import read_run_log
+from groupsight.rc import build_schedule
 
 
 def run_cli(argv):
@@ -275,6 +277,8 @@ class TestStats:
         assert run_cli([
             "stats", "--log", str(out / "runs.jsonl"), "-o", str(recomputed),
         ]) == 0
+        # The run's config.json lies beside the log, so every record was
+        # also checked against its worst-case bounds.
         assert recomputed.read_bytes() == (out / "summary.csv").read_bytes()
 
     def test_found_sizes_above_four_get_columns(self, tmp_path):
@@ -465,6 +469,97 @@ class TestStats:
         log.write_text("".join(json.dumps(r) + "\n" for r in records))
         _, cells = read_run_log(log)
         assert cells[records[at]["a0"]][records[at]["seed"]].rc.abort_step == 3
+
+
+class TestStatsBounds:
+    """With the run's config.json beside the log, `stats` checks every record."""
+
+    @pytest.fixture
+    def run_dir(self, family_file, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli([
+            "run", "--family", str(family_file), "--a0", "8,16", "--runs", "20",
+            "--pfn", "0.05", "--seed", "5", "-o", str(out),
+        ]) == 0
+        return out
+
+    @staticmethod
+    def stats(out, capsys) -> tuple[int, str]:
+        capsys.readouterr()
+        code = run_cli(["stats", "--log", str(out / "runs.jsonl"), "-o", str(out / "s.csv")])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def alter(out, pick, change) -> int:
+        """Apply `change` to the first record `pick` accepts; its line number."""
+        records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+        at = next(i for i, r in enumerate(records) if pick(r))
+        change(records[at])
+        (out / "runs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        return at + 1
+
+    @pytest.mark.parametrize(
+        "pick, change, message",
+        [
+            (lambda r: r["algorithm"] == "sight",
+             lambda r: r.update(negatives=sight_max_tests(r["a0"], 2, 4) + 1),
+             "above its worst case of"),
+            (lambda r: r["algorithm"] == "rc",
+             lambda r: r.update(negatives=rc_max_tests(build_schedule(r["a0"], 4), 20, 2, 4) + 1),
+             "above its worst case of"),
+            (lambda r: r["algorithm"] == "rc",
+             lambda r: r.update(positives=rc_max_positive(len(build_schedule(r["a0"], 4))) + 1,
+                                negatives=0),
+             "positive tests, above its worst case of"),
+            (lambda r: r["algorithm"] == "rc" and r["outcome"] == "Found",
+             lambda r: r.update(outcome="AbortAtStep", found_set=None, k=None,
+                                abort_step=len(build_schedule(r["a0"], 4))),
+             "steps of its schedule"),
+            (lambda r: r["outcome"] == "Found",
+             lambda r: r.update(found_set=list(range(5)), k=5),
+             "found set of size 5 lies outside sizes 2..4"),
+        ],
+        ids=["sight-tests", "rc-tests", "rc-positives", "rc-abort-step", "found-size"],
+    )
+    def test_record_past_a_bound_exits_2_naming_its_line(
+        self, run_dir, capsys, pick, change, message
+    ):
+        line = self.alter(run_dir, pick, change)
+        code, err = self.stats(run_dir, capsys)
+        assert code == 2
+        assert err.startswith(f"error: {run_dir / 'runs.jsonl'}:{line}: ") and message in err, err
+        # Without the config beside it, the same log is read as it stands.
+        (run_dir / "config.json").unlink()
+        assert self.stats(run_dir, capsys)[0] == 0
+
+    def test_window_comes_from_the_config(self, run_dir, capsys):
+        config = json.loads((run_dir / "config.json").read_text())
+        (run_dir / "config.json").write_text(json.dumps({**config, "kmin": 3}))
+        records = [json.loads(line) for line in (run_dir / "runs.jsonl").read_text().splitlines()]
+        line = next(i for i, r in enumerate(records) if r["k"] == 2) + 1
+        code, err = self.stats(run_dir, capsys)
+        assert code == 2 and f"runs.jsonl:{line}: found set of size 2 lies outside sizes 3..4" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            json.dumps({"kmin": 2, "kmax": 4}),
+            json.dumps({"kmin": "2", "kmax": 4, "tmax": 20}),
+            json.dumps({"kmin": 2, "kmax": 4, "tmax": 20.0}),
+            json.dumps({"kmin": 5, "kmax": 4, "tmax": 20}),
+            json.dumps({"kmin": 1, "kmax": 4, "tmax": 20}),
+            json.dumps({"kmin": 2, "kmax": 4, "tmax": 0}),
+            json.dumps({"kmin": True, "kmax": 4, "tmax": 20}),
+        ],
+        ids=["not-json", "not-object", "no-tmax", "string", "float", "kmin-above-kmax",
+             "kmin-1", "tmax-0", "bool"],
+    )
+    def test_malformed_config_exits_2_naming_it(self, run_dir, capsys, text):
+        (run_dir / "config.json").write_text(text)
+        code, err = self.stats(run_dir, capsys)
+        assert code == 2 and err.startswith(f"error: {run_dir / 'config.json'}: "), err
 
 
 _DROP = object()
