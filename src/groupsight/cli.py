@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .bounds import rc_max_positive, rc_max_tests, sight_max_positive, sight_max_tests
 from .errors import ValidationError
 from .harness import (
-    DEFAULT_RHOS,
     ExperimentConfig,
     check_rhos,
     run_experiment,
@@ -33,31 +34,56 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of `parse` values."""
+    return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
+
+
+class Setting(NamedTuple):
+    """A `run` key: its flag `--KEY`, its config-file key and its `config.json` key."""
+
+    field: str | None  # the ExperimentConfig field it sets; None for the two paths
+    parse: Callable[[str], object]
+    help: str
+
+
+# In `config.json` order. `config.json` is written to `out`, so does not name it.
+RUN_SETTINGS = {
+    "family": Setting(None, str, "planted-family JSON path"),
+    "a0": Setting("a0_grid", _list_of(int), "comma-separated initial set sizes"),
+    "runs": Setting("runs_per_cell", int, "paired runs per cell"),
+    "kmin": Setting("k_min", int, "smallest target set size"),
+    "kmax": Setting("k_max", int, "largest target set size"),
+    "tmax": Setting("t_max", int, "stochastic sampler's attempts per reduction step"),
+    "pfn": Setting("p_fn", float, "false-negative rate in [0,1)"),
+    "seed": Setting("master_seed", int, "master seed"),
+    "rho": Setting("rhos", _list_of(float), "comma-separated positive:negative cost ratios"),
+    "label": Setting("label", str, "summary-table label (default: the family file's stem)"),
+    "threads": Setting("threads", int, "worker processes"),
+    "out": Setting(None, str, "output directory"),
+}
+
+
+def _parse_setting(key: str, text: str, where: str):
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return RUN_SETTINGS[key].parse(text)
     except ValueError as exc:
-        raise ValidationError(f"expected a comma-separated integer list: {text!r}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ValidationError(f"expected a comma-separated number list: {text!r}") from exc
-
-
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a `key = value` config file; '#' starts a comment."""
-    values: dict[str, str] = {}
+def read_config_file(path: str | Path) -> dict[str, object]:
+    """Parse a `key = value` file of `run` settings; '#' starts a comment."""
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in RUN_SETTINGS:
+            raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
+        values[key] = _parse_setting(key, text, f"{path}:{lineno}")
     return values
 
 
@@ -79,32 +105,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a paired experiment grid")
     run.add_argument("--config", help="key=value config file; flags override it")
-    run.add_argument("--family", help="planted-family JSON path")
-    run.add_argument("--a0", help="comma-separated initial set sizes")
-    run.add_argument("--runs", type=int, help="paired runs per cell")
-    run.add_argument("--kmin", type=int)
-    run.add_argument("--kmax", type=int)
-    run.add_argument("--tmax", type=int)
-    run.add_argument("--pfn", type=float, help="false-negative rate in [0,1)")
-    run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument("--rho", help="comma-separated positive:negative cost ratios")
-    run.add_argument("--threads", type=int)
-    run.add_argument("--label", help="problem label for the summary table")
-    run.add_argument("-o", "--out", help="output directory")
+    for key, setting in RUN_SETTINGS.items():
+        flags = ("-o", "--out") if key == "out" else (f"--{key}",)
+        run.add_argument(*flags, help=setting.help)
 
     bnd = sub.add_parser("bounds", help="print worst-case test counts")
     bnd.add_argument("--a0", type=int, required=True)
-    bnd.add_argument("--kmin", type=int, default=2)
-    bnd.add_argument("--kmax", type=int, default=4)
-    bnd.add_argument("--tmax", type=int, default=20)
+    bnd.add_argument("--kmin", type=int, default=ExperimentConfig.k_min)
+    bnd.add_argument("--kmax", type=int, default=ExperimentConfig.k_max)
+    bnd.add_argument("--tmax", type=int, default=ExperimentConfig.t_max)
 
     st = sub.add_parser("stats", help="recompute summaries from a run log")
     st.add_argument("--log", required=True,
                     help="run log (one JSON record per line); with the run's "
                          "config.json beside it, every record must keep the "
                          "worst-case bounds of its kmin, kmax and tmax")
-    st.add_argument("--rho", help="comma-separated cost ratios")
-    st.add_argument("--label", default="family")
+    st.add_argument("--rho", help="comma-separated cost ratios (default: the run's, "
+                                   "from its config.json, else 1,10,50,100)")
+    st.add_argument("--label", help="problem label (default: the run's, from its "
+                                    "config.json, else 'family')")
     st.add_argument("-o", "--out", help="summary CSV path (stdout when omitted)")
     return parser
 
@@ -124,60 +143,33 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _resolved_run_config(args) -> tuple[str, ExperimentConfig, str]:
-    file_values = read_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, parse, default=None):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return parse(file_values[key])
-        return default
-
-    family_path = pick(args.family, "family", str)
-    out_dir = pick(args.out, "out", str)
-    if family_path is None:
-        raise ValidationError("--family is required (flag or config file)")
-    if out_dir is None:
-        raise ValidationError("--out is required (flag or config file)")
-    a0_grid = pick(_parse_int_list(args.a0) if args.a0 else None, "a0", _parse_int_list)
-    if not a0_grid:
-        raise ValidationError("--a0 is required (flag or config file)")
-    config = ExperimentConfig(
-        a0_grid=a0_grid,
-        runs_per_cell=pick(args.runs, "runs", int, 1000),
-        k_min=pick(args.kmin, "kmin", int, 2),
-        k_max=pick(args.kmax, "kmax", int, 4),
-        t_max=pick(args.tmax, "tmax", int, 20),
-        p_fn=pick(args.pfn, "pfn", float, 0.0),
-        master_seed=pick(args.seed, "seed", int, 0),
-        rhos=pick(_parse_float_list(args.rho) if args.rho else None, "rho",
-                  _parse_float_list, DEFAULT_RHOS),
-        label=pick(args.label, "label", str, Path(family_path).stem),
-        threads=pick(args.threads, "threads", int, 1),
-    )
-    return family_path, config, out_dir
+def _resolved_run_settings(args) -> tuple[dict[str, object], ExperimentConfig]:
+    """The `run` settings given, flags over the config file, and their experiment."""
+    values = read_config_file(args.config) if args.config else {}
+    for key in RUN_SETTINGS:
+        if getattr(args, key) is not None:
+            values[key] = _parse_setting(key, getattr(args, key), f"--{key}")
+    for key in ("family", "out", "a0"):
+        if not values.get(key):
+            raise ValidationError(f"--{key} is required (flag or config file)")
+    values.setdefault("runs", 1000)
+    values.setdefault("label", Path(values["family"]).stem)
+    config = ExperimentConfig(**{
+        setting.field: values[key]
+        for key, setting in RUN_SETTINGS.items() if setting.field and key in values
+    })
+    return values, config
 
 
 def cmd_run(args) -> int:
-    family_path, config, out_dir = _resolved_run_config(args)
-    family = PlantedFamily.load(family_path)
-    result = run_experiment(family, config)
+    values, config = _resolved_run_settings(args)
+    result = run_experiment(PlantedFamily.load(values["family"]), config)
 
-    out = Path(out_dir)
+    out = Path(values["out"])
     out.mkdir(parents=True, exist_ok=True)
     echo = {
-        "family": str(family_path),
-        "a0": list(config.a0_grid),
-        "runs": config.runs_per_cell,
-        "kmin": config.k_min,
-        "kmax": config.k_max,
-        "tmax": config.t_max,
-        "pfn": config.p_fn,
-        "seed": config.master_seed,
-        "rho": list(config.rhos),
-        "label": config.label,
-        "threads": config.threads,
+        key: getattr(config, setting.field) if setting.field else values[key]
+        for key, setting in RUN_SETTINGS.items() if key != "out"
     }
     (out / "config.json").write_text(json.dumps(echo, indent=2) + "\n")
     with open(out / "runs.jsonl", "w") as fh:
@@ -210,32 +202,46 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _logged_bounds(log: str | Path) -> tuple[int, int, int] | None:
-    """(k_min, k_max, t_max) from the `config.json` beside a run log, if any."""
+def _logged_run(
+    log: str | Path,
+) -> tuple[tuple[int, int, int], tuple[float, ...], str] | None:
+    """(k_min, k_max, t_max), cost ratios and label of the `config.json`
+    beside a run log, if any."""
     path = Path(log).parent / "config.json"
     if not path.exists():
         return None
     try:
         echo = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        if not isinstance(echo, dict):
+            raise ValueError("not a JSON object")
+        bounds = tuple(echo.get(key) for key in ("kmin", "kmax", "tmax"))
+        k_min, k_max, t_max = bounds
+        if not (all(map(_is_int, bounds)) and 2 <= k_min <= k_max and t_max >= 1):
+            raise ValueError("kmin, kmax and tmax must be integers "
+                             "with 2 <= kmin <= kmax and tmax >= 1")
+        rho, label = echo.get("rho"), echo.get("label")
+        if not (isinstance(rho, list) and all(type(r) in (int, float) for r in rho)):
+            raise ValueError("rho must be a list of numbers")
+        rhos = tuple(map(float, rho))
+        check_rhos(rhos)
+        if not isinstance(label, str):
+            raise ValueError("label must be a string")
+    except (OverflowError, ValueError) as exc:  # JSONDecodeError and ValidationError too
         raise ValidationError(f"{path}: {exc}") from exc
-    if not isinstance(echo, dict):
-        raise ValidationError(f"{path}: not a JSON object")
-    bounds = tuple(echo.get(key) for key in ("kmin", "kmax", "tmax"))
-    k_min, k_max, t_max = bounds
-    if not (all(map(_is_int, bounds)) and 2 <= k_min <= k_max and t_max >= 1):
-        raise ValidationError(f"{path}: kmin, kmax and tmax must be integers "
-                              "with 2 <= kmin <= kmax and tmax >= 1")
-    return bounds
+    return bounds, rhos, label
 
 
 def cmd_stats(args) -> int:
-    rhos = _parse_float_list(args.rho) if args.rho else DEFAULT_RHOS
-    check_rhos(rhos)
-    grid, cells = read_run_log(args.log, _logged_bounds(args.log))
+    logged = _logged_run(args.log)
+    bounds, rhos, label = logged or (None, ExperimentConfig.rhos, ExperimentConfig.label)
+    if args.rho is not None:
+        rhos = _parse_setting("rho", args.rho, "--rho")
+        check_rhos(rhos)
+    label = label if args.label is None else args.label
+    grid, cells = read_run_log(args.log, bounds)
     summaries = []
     for a0 in grid:
-        summaries.extend(summarize_cell(a0, cells[a0], rhos, args.label))
+        summaries.extend(summarize_cell(a0, cells[a0], rhos, label))
     if args.out:
         with open(args.out, "w") as fh:
             write_summary_csv(fh, summaries, rhos)

@@ -24,6 +24,7 @@ cell of an experiment.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import statistics
@@ -59,9 +60,9 @@ DEFAULT_RHOS = (1.0, 10.0, 50.0, 100.0)
 class ExperimentConfig:
     a0_grid: tuple[int, ...]
     runs_per_cell: int
-    k_min: int = 2
-    k_max: int = 4
-    t_max: int = 20
+    k_min: int = SightConfig.k_min
+    k_max: int = SightConfig.k_max
+    t_max: int = RcConfig.t_max
     p_fn: float = 0.0
     master_seed: int = 0
     rhos: tuple[float, ...] = DEFAULT_RHOS
@@ -217,7 +218,7 @@ def run_pair(
         SightConfig(a0, config.k_min, config.k_max),
         oracle,
         sight_rng,
-        init_noise_rng=init_noise_rng,
+        init_rng=init_noise_rng,
         initial_sample=s,
     )
     reset_generator(init_noise_rng, keys[1])
@@ -226,7 +227,7 @@ def run_pair(
         RcConfig(a0, config.k_min, config.k_max, config.t_max),
         oracle,
         rc_rng,
-        init_noise_rng=init_noise_rng,
+        init_rng=init_noise_rng,
         initial_sample=s,
     )
     return PairResult(pair_id=pair_id, sight=sight_res, rc=rc_res)
@@ -494,11 +495,11 @@ def write_summary_csv(
     summaries: Sequence[CellSummary],
     rhos: Sequence[float] = DEFAULT_RHOS,
 ) -> None:
-    """Header and one row per summary; size columns reach the largest find."""
+    """Header and one CSV-quoted row per summary; size columns reach the largest find."""
     k_top = max([4, *(k for s in summaries for k in s.k_proportions)])
-    stream.write(",".join(csv_header(rhos, k_top)) + "\n")
-    for summary in summaries:
-        stream.write(",".join(summary_row(summary, rhos, k_top)) + "\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(csv_header(rhos, k_top))
+    writer.writerows(summary_row(summary, rhos, k_top) for summary in summaries)
 
 
 # The outcomes each sampler can produce; a run record must carry one of them.

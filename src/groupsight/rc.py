@@ -82,22 +82,19 @@ def run_rc(
     rng: np.random.Generator,
     *,
     init_rng: Optional[np.random.Generator] = None,
-    init_noise_rng: Optional[np.random.Generator] = None,
     initial_sample: Optional[Sequence[int]] = None,
 ) -> RunResult:
     """Execute one stochastic-sampler run.
 
-    `init_rng`, `init_noise_rng`, and `initial_sample` behave exactly as
-    in the deterministic sampler, letting paired runs share the initial
+    `init_rng`, the one start stream, and `initial_sample` behave exactly
+    as in the deterministic sampler, letting paired runs share the initial
     sample and its test outcome while diverging stochastically after.
     """
-    s, init_noise_rng = start_run(
-        universe_size, config, rng, init_rng, init_noise_rng, initial_sample
-    )
+    s, init_rng = start_run(universe_size, config, rng, init_rng, initial_sample)
     ledger = TestLedger()
     result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
 
-    if not oracle.is_defective(s, ledger, init_noise_rng):
+    if not oracle.is_defective(s, ledger, init_rng):
         return result(RunOutcome.ABORT_INITIAL)
 
     for step, a_i in enumerate(build_schedule(config.a0, config.k_max)[1:], start=1):

@@ -76,7 +76,7 @@ def check_window(config, universe_size: int, a0_op: str) -> None:
 
 
 def start_run(
-    universe_size: int, config, rng, init_rng, init_noise_rng, initial_sample
+    universe_size: int, config, rng, init_rng, initial_sample
 ) -> tuple[list[int], np.random.Generator]:
     """Validate `config` and any `initial_sample`; return the initial sample
     and the initial test's rng. A given sample must hold a0 distinct
@@ -86,9 +86,8 @@ def start_run(
     """
     config.validate(universe_size)
     init_rng = rng if init_rng is None else init_rng
-    init_noise_rng = init_rng if init_noise_rng is None else init_noise_rng
     if initial_sample is None:
-        return sample(range(universe_size), config.a0, init_rng), init_noise_rng
+        return sample(range(universe_size), config.a0, init_rng), init_rng
     s = list(initial_sample)
     if len(s) != config.a0:
         raise ValidationError("initial_sample must have exactly a0 elements")
@@ -102,7 +101,7 @@ def start_run(
         raise ValidationError("initial_sample has a repeated member")
     if not 0 <= min(s) <= max(s) < universe_size:
         raise ValidationError("initial_sample member out of range")
-    return s, init_noise_rng
+    return s, init_rng
 
 
 def ask(nodes: Sequence[int], oracle: Oracle, ledger: TestLedger,

@@ -100,29 +100,25 @@ def run_sight(
     rng: np.random.Generator,
     *,
     init_rng: Optional[np.random.Generator] = None,
-    init_noise_rng: Optional[np.random.Generator] = None,
     initial_sample: Optional[Sequence[int]] = None,
 ) -> RunResult:
     """Execute one deterministic-sampler run.
 
-    `init_rng` (defaulting to `rng`) supplies the initial sample and
-    `init_noise_rng` (defaulting to `init_rng`) the noise draw for the
-    initial test; paired runs hand both algorithms generators for the
-    same substreams so they share that prefix exactly. `initial_sample`
-    bypasses sampling for callers that need a specific ordered sample.
+    `init_rng` (defaulting to `rng`), the one start stream, draws the
+    initial sample unless `initial_sample` gives one, then the initial
+    test's noise draw. Paired runs hand both samplers the same sample and
+    generators for the same substream, so they share that prefix exactly.
 
     Every tested set is registered: the minimality pass skips registered
     subsets for free, and the accumulated-set test reuses a registered
     answer instead of charging a duplicate test.
     """
-    s, init_noise_rng = start_run(
-        universe_size, config, rng, init_rng, init_noise_rng, initial_sample
-    )
+    s, init_rng = start_run(universe_size, config, rng, init_rng, initial_sample)
     ledger = TestLedger()
     tested: TestedRegistry = {}
     result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
 
-    if not ask(s, oracle, ledger, init_noise_rng, tested):
+    if not ask(s, oracle, ledger, init_rng, tested):
         return result(RunOutcome.ABORT_INITIAL, positives_pre_bottom_up=0)
 
     d: list[int] = []

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from groupsight import PlantedFamily, RunOutcome
 from groupsight.bounds import rc_max_positive, rc_max_tests, sight_max_tests
-from groupsight.cli import main
+from groupsight.cli import RUN_SETTINGS, main
 from groupsight.harness import read_run_log
 from groupsight.rc import build_schedule
 
@@ -255,6 +256,77 @@ class TestRun:
         assert len(lines) == 2 * 4
 
 
+# A value for each `run` key that differs from its default.
+SETTING_VALUES = {
+    "a0": "9,12", "runs": "6", "kmin": "3", "kmax": "5", "tmax": "7", "pfn": "0.03",
+    "seed": "9", "rho": "2,7.5", "label": "x y", "threads": "2",
+}
+
+
+class TestRunSettings:
+    """`run` reads each key of RUN_SETTINGS from a flag or from a config file."""
+
+    @staticmethod
+    def run(values, key, via_file, tmp_path) -> tuple[int, bytes]:
+        """Run with every value as a flag but `key`'s, which `via_file` puts in
+        a config file; the exit code and config.json."""
+        argv = ["run"]
+        for other, text in values.items():
+            if other != key or not via_file:
+                argv += [f"--{other}", text]
+        if via_file:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"# one setting\n{key} = {values[key]}\n")
+            argv += ["--config", str(cfg)]
+        code = run_cli(argv)
+        return code, (Path(values["out"]) / "config.json").read_bytes()
+
+    @pytest.mark.parametrize("key", list(RUN_SETTINGS))
+    def test_file_and_flag_give_the_same_config(self, family_file, tmp_path, key):
+        values = {"family": str(family_file), "a0": "8", "runs": "4",
+                  "out": str(tmp_path / "out")}
+        if key in SETTING_VALUES:
+            values[key] = SETTING_VALUES[key]
+        from_flag = self.run(values, key, False, tmp_path)
+        from_file = self.run(values, key, True, tmp_path)
+        assert from_flag == from_file
+        assert from_flag[0] == 0
+        if key != "out":
+            expected = RUN_SETTINGS[key].parse(values[key])
+            assert json.loads(from_file[1])[key] == json.loads(json.dumps(expected))
+
+    def test_config_json_key_order(self, family_file, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["run", "--family", str(family_file), "--a0", "8", "--runs", "3",
+                        "-o", str(out)]) == 0
+        assert list(json.loads((out / "config.json").read_text())) == [
+            "family", "a0", "runs", "kmin", "kmax", "tmax", "pfn", "seed", "rho",
+            "label", "threads",
+        ]
+
+    def test_unknown_key_exits_2_naming_its_line(self, family_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"family = {family_file}\na0 = 8\n\nrusn = 10\nout = {out}\n")
+        capsys.readouterr()
+        assert run_cli(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:4: unknown key 'rusn'\n"
+        assert not out.exists()
+
+    def test_unparsable_value_exits_2(self, family_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(["run", "--family", str(family_file), "--a0", "8",
+                        "--runs", "abc", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --runs: ")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax = four\n")
+        assert run_cli(["run", "--config", str(cfg), "--family", str(family_file),
+                        "--a0", "8", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:1: ")
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def run_log_file(family_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("stats")
@@ -280,6 +352,37 @@ class TestStats:
         # The run's config.json lies beside the log, so every record was
         # also checked against its worst-case bounds.
         assert recomputed.read_bytes() == (out / "summary.csv").read_bytes()
+
+    def test_bare_stats_reproduces_the_run_summary(self, tmp_path, capsys):
+        # The label, here the family file's stem, and the cost ratios come
+        # from the run's config.json; flags override them, and without a
+        # config.json the defaults are 'family' and 1,10,50,100.
+        fam = tmp_path / "a,b.json"
+        assert run_cli(["generate", "--n", "60", "--k2", "10", "--k3", "10",
+                        "--seed", "3", "-o", str(fam)]) == 0
+        out = tmp_path / "out"
+        assert run_cli(["run", "--family", str(fam), "--a0", "8,16", "--runs", "30",
+                        "--rho", "2,3", "--pfn", "0.05", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["stats", "--log", str(out / "runs.jsonl")]) == 0
+        assert capsys.readouterr().out == (out / "summary.csv").read_text()
+
+        def header_and_labels(argv):
+            assert run_cli(argv) == 0
+            header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+            return header, {row[header.index("T_label")] for row in rows}
+
+        header, labels = header_and_labels(
+            ["stats", "--log", str(out / "runs.jsonl"), "--rho", "4", "--label", "z"])
+        assert [c for c in header if c.startswith("cost_")] == ["cost_r4"] and labels == {"z"}
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "runs.jsonl").write_bytes((out / "runs.jsonl").read_bytes())
+        header, labels = header_and_labels(["stats", "--log", str(alone / "runs.jsonl")])
+        assert [c for c in header if c.startswith("cost_")] == [
+            "cost_r1", "cost_r10", "cost_r50", "cost_r100",
+        ]
+        assert labels == {"family"}
 
     def test_found_sizes_above_four_get_columns(self, tmp_path):
         fam = tmp_path / "fam.json"
@@ -552,9 +655,16 @@ class TestStatsBounds:
             json.dumps({"kmin": 1, "kmax": 4, "tmax": 20}),
             json.dumps({"kmin": 2, "kmax": 4, "tmax": 0}),
             json.dumps({"kmin": True, "kmax": 4, "tmax": 20}),
+            *(json.dumps({"kmin": 2, "kmax": 4, "tmax": 20, "rho": [1.0], "label": "x",
+                          **change})
+              for change in ({"rho": "1,2"}, {"rho": [1, "x"]}, {"rho": [True]},
+                             {"rho": [1, 1.0]}, {"rho": [-1]}, {"rho": [10**400]},
+                             {"rho": None}, {"label": 3}, {"label": None})),
         ],
         ids=["not-json", "not-object", "no-tmax", "string", "float", "kmin-above-kmax",
-             "kmin-1", "tmax-0", "bool"],
+             "kmin-1", "tmax-0", "bool", "rho-string", "rho-member-string", "rho-bool",
+             "rho-repeated", "rho-negative", "rho-huge", "rho-null", "label-number",
+             "label-null"],
     )
     def test_malformed_config_exits_2_naming_it(self, run_dir, capsys, text):
         (run_dir / "config.json").write_text(text)

@@ -1,5 +1,6 @@
 """Paired runs, amortization, summaries, and output determinism."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -26,6 +27,7 @@ from groupsight import (
     run_pair,
     run_rc,
     run_sight,
+    sample,
     spawn_generator,
     summarize_cell,
 )
@@ -142,6 +144,10 @@ class TestRunPair:
         )
         oracle = Oracle(fam, cfg.p_fn)
         seed = cfg.master_seed
+
+        def initial(a0, j):
+            return sample(range(fam.universe_size), a0, spawn_generator(seed, a0, j, ROLE_INIT))
+
         outcomes = set()
         for a0 in cfg.a0_grid:
             for j in range(100):
@@ -151,16 +157,16 @@ class TestRunPair:
                     SightConfig(a0, cfg.k_min, cfg.k_max),
                     oracle,
                     spawn_generator(seed, a0, j, ROLE_SIGHT),
-                    init_rng=spawn_generator(seed, a0, j, ROLE_INIT),
-                    init_noise_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
+                    initial_sample=initial(a0, j),
+                    init_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
                 )
                 rc = run_rc(
                     fam.universe_size,
                     RcConfig(a0, cfg.k_min, cfg.k_max, cfg.t_max),
                     oracle,
                     spawn_generator(seed, a0, j, ROLE_RC),
-                    init_rng=spawn_generator(seed, a0, j, ROLE_INIT),
-                    init_noise_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
+                    initial_sample=initial(a0, j),
+                    init_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
                 )
                 assert pair.sight == sight
                 assert pair.rc == rc
@@ -390,6 +396,18 @@ class TestExperimentOutputs:
                 )
                 assert pair.rc.ledger.positives <= rc_max_positive(len(schedule))
 
+    @pytest.mark.parametrize("label", ["a,b", 'q"r', "x\ny"],
+                             ids=["comma", "quote", "newline"])
+    def test_any_label_keeps_its_row_whole(self, family, label):
+        config = ExperimentConfig(a0_grid=(8, 16), runs_per_cell=10, label=label)
+        result = run_experiment(family, config)
+        out = io.StringIO()
+        write_summary_csv(out, result.summaries, config.rhos)
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        assert len(header) == 23 and len(rows) == 4
+        for row in rows:
+            assert len(row) == 23 and row[header.index("T_label")] == label
+
     def test_csv_header_is_stable(self):
         assert csv_header((1.0, 10.0, 50.0, 100.0)) == [
             "algorithm", "a0", "T_label", "finds", "init_fail_rate", "abort_rate",
@@ -397,3 +415,12 @@ class TestExperimentOutputs:
             "cost_r1", "cost_r10", "cost_r50", "cost_r100",
             "U", "p_value", "U_pos", "p_value_pos", "U_neg", "p_value_neg",
         ]
+
+
+def test_window_and_budget_defaults_agree():
+    sight, rc = SightConfig(a0=8), RcConfig(a0=8)
+    experiment = ExperimentConfig(a0_grid=(8,), runs_per_cell=1)
+    assert (sight.k_min, sight.k_max) == (rc.k_min, rc.k_max)
+    assert (experiment.k_min, experiment.k_max, experiment.t_max) == (
+        rc.k_min, rc.k_max, rc.t_max
+    )
