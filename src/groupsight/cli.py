@@ -202,11 +202,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _logged_run(
-    log: str | Path,
-) -> tuple[tuple[int, int, int], tuple[float, ...], str] | None:
-    """(k_min, k_max, t_max), cost ratios and label of the `config.json`
-    beside a run log, if any."""
+def _logged_run(log: str | Path) -> tuple[
+    tuple[int, int, int], tuple[tuple[int, ...], int], tuple[float, ...], str
+] | None:
+    """(k_min, k_max, t_max), (a0 grid, pairs per cell), cost ratios and
+    label of the `config.json` beside a run log, if any."""
     path = Path(log).parent / "config.json"
     if not path.exists():
         return None
@@ -219,6 +219,11 @@ def _logged_run(
         if not (all(map(_is_int, bounds)) and 2 <= k_min <= k_max and t_max >= 1):
             raise ValueError("kmin, kmax and tmax must be integers "
                              "with 2 <= kmin <= kmax and tmax >= 1")
+        a0, runs = echo.get("a0"), echo.get("runs")
+        if not (isinstance(a0, list) and a0 and all(map(_is_int, a0))
+                and _is_int(runs) and runs >= 1):
+            raise ValueError("a0 must be a nonempty list of integers and runs "
+                             "a positive integer")
         rho, label = echo.get("rho"), echo.get("label")
         if not (isinstance(rho, list) and all(type(r) in (int, float) for r in rho)):
             raise ValueError("rho must be a list of numbers")
@@ -228,17 +233,18 @@ def _logged_run(
             raise ValueError("label must be a string")
     except (OverflowError, ValueError) as exc:  # JSONDecodeError and ValidationError too
         raise ValidationError(f"{path}: {exc}") from exc
-    return bounds, rhos, label
+    return bounds, (tuple(a0), runs), rhos, label
 
 
 def cmd_stats(args) -> int:
     logged = _logged_run(args.log)
-    bounds, rhos, label = logged or (None, ExperimentConfig.rhos, ExperimentConfig.label)
+    bounds, layout, rhos, label = logged or (
+        None, None, ExperimentConfig.rhos, ExperimentConfig.label)
     if args.rho is not None:
         rhos = _parse_setting("rho", args.rho, "--rho")
         check_rhos(rhos)
     label = label if args.label is None else args.label
-    grid, cells = read_run_log(args.log, bounds)
+    grid, cells = read_run_log(args.log, bounds, layout)
     summaries = []
     for a0 in grid:
         summaries.extend(summarize_cell(a0, cells[a0], rhos, label))

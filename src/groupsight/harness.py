@@ -612,7 +612,9 @@ def _worst_case(
 
 
 def read_run_log(
-    path: str | Path, bounds: tuple[int, int, int] | None = None
+    path: str | Path,
+    bounds: tuple[int, int, int] | None = None,
+    layout: tuple[tuple[int, ...], int] | None = None,
 ) -> tuple[tuple[int, ...], dict[int, list[PairResult]]]:
     """Rebuild paired results from a run log written by `write_run_log`.
 
@@ -626,7 +628,9 @@ def read_run_log(
     pair whose sides disagree on the initial test or a cell of a different
     length raises ValidationError naming a line. Given `bounds`, the
     run's (k_min, k_max, t_max), so does a record that fails
-    `check_bounds`.
+    `check_bounds`. Given `layout`, the run's a0 grid and pairs per cell,
+    a log whose cells or pair count differ from it raises ValidationError
+    naming the log.
     """
     grid: list[int] = []
     cells: dict[int, dict[int, dict[str, RunResult]]] = {}
@@ -683,5 +687,12 @@ def read_run_log(
             raise ValidationError(
                 f"{path}:{last_line[a0]}: cell a0={a0} has {len(pairs)} pairs, "
                 f"cell a0={grid[0]} has {len(pairs_by_a0[grid[0]])}"
+            )
+    if layout is not None:
+        held = (tuple(grid), len(pairs_by_a0[grid[0]]) if grid else 0)
+        if held != (tuple(layout[0]), layout[1]):
+            raise ValidationError(
+                f"{path}: holds a0 {list(held[0])} with {held[1]} pairs per cell, "
+                f"but its run had a0 {list(layout[0])} with {layout[1]}"
             )
     return tuple(grid), pairs_by_a0

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Looked up as `backend.FamilyIndex` when an index is built, so a replaced class
-# (perfbench's tracer swaps in a timed subclass) takes effect.
+# Looked up as `backend.FamilyIndex` when a family is built, so a class put in
+# its place (a timed subclass, say) takes effect.
 from . import backend
+from .backend import FamilyProjection
 from .errors import (
     InfeasibleCountsError,
     InvalidKError,
@@ -34,92 +35,38 @@ from .rng import ROLE_FAMILY, spawn_generator
 KSet = tuple[int, ...]
 
 
-class FamilyProjection:
-    """The planted sets lying inside one node sample S.
-
-    Answers containment queries for subsets of S from the few planted
-    sets S holds, smallest first. A query with a node outside S raises
-    ValidationError instead of answering.
-    """
-
-    __slots__ = ("nodes", "sets")
-
-    def __init__(self, nodes: frozenset[int], sets: tuple[frozenset[int], ...]):
-        self.nodes = nodes
-        self.sets = sets
-
-    def contains_defective(self, nodes: Sequence[int]) -> bool:
-        """Noise-free truth: does `nodes`, a subset of S, contain a planted set?"""
-        present = frozenset(nodes)
-        if not present <= self.nodes:
-            raise ValidationError("query is not a subset of the projected sample")
-        for p in self.sets:
-            if p <= present:
-                return True
-        return False
-
-
 @dataclass(frozen=True)
 class PlantedFamily:
     """Immutable ground truth: the antichain of minimal defective sets.
 
     `planted` holds canonical (strictly ascending) tuples over the node
-    range [0, universe_size). Construction checks them on the row store
-    behind `project` (see `_row_store`), which it builds once and keeps
-    in `_rows`; a pickled family carries the store. The subset-query
-    index is never pickled; worker processes rebuild it on first use.
-    Neither is a constructor argument, so `dataclasses.replace` builds
-    both afresh for the new sets.
+    range [0, universe_size). Construction checks them while building
+    the row store (`backend.FamilyIndex`) that answers every query, and
+    a pickled family carries it. The store is not a constructor
+    argument, so `dataclasses.replace` builds it afresh for the new sets.
     """
 
     universe_size: int
     planted: tuple[KSet, ...]
     seed: int | None = None
-    _index: object = field(default=None, init=False, compare=False, repr=False)
-    _rows: object = field(default=None, init=False, compare=False, repr=False)
+    _index: backend.FamilyIndex = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.universe_size < 1:
             raise ValidationError("universe_size must be positive")
         object.__setattr__(
-            self, "_rows", _row_store(self.universe_size, self.planted)
+            self, "_index", backend.FamilyIndex(self.universe_size, self.planted)
         )
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_index"] = None
-        return state
-
-    def index(self):
-        """Full-family subset-query index, built on first use."""
-        if self._index is None:
-            idx = backend.FamilyIndex(self.universe_size, self.planted)
-            object.__setattr__(self, "_index", idx)
+    def index(self) -> backend.FamilyIndex:
+        """The row store that answers the family's subset queries."""
         return self._index
 
     def project(self, nodes: Sequence[int]) -> FamilyProjection:
-        """The planted sets lying inside `nodes`, for queries on its subsets.
-
-        One gather takes the rows whose minimum is in `nodes`, of every
-        size at once; each further column then keeps the rows whose
-        member there is in `nodes` too. The sets come smallest first.
-        """
-        given = np.array(nodes, dtype=np.intp)
-        if given.size and (given.min() < 0 or given.max() >= self.universe_size):
-            raise ValidationError("node out of range")
-        inside = np.zeros(self.universe_size, dtype=bool)
-        inside[given] = True
-        members = np.flatnonzero(inside)
-        columns, starts = self._rows
-        lo = starts.take(members)
-        counts = starts.take(members + 1) - lo
-        offsets = np.cumsum(counts) - counts
-        picked = np.arange(counts.sum()) + np.repeat(lo - offsets, counts)
-        for col in columns[1:]:
-            picked = picked.compress(inside.take(col.take(picked)))
-        rows = zip(*(col.take(picked).tolist() for col in columns))
-        sets = sorted(map(frozenset, rows), key=len)
-        return FamilyProjection(frozenset(members.tolist()), tuple(sets))
+        """The planted sets lying inside `nodes`, for queries on its subsets."""
+        return self._index.project(nodes)
 
     @property
     def counts_by_k(self) -> dict[int, int]:
@@ -130,11 +77,11 @@ class PlantedFamily:
 
     def contains_defective(self, nodes: Sequence[int]) -> bool:
         """Noise-free truth: does `nodes` contain some planted set?"""
-        return self.index().contains_defective(nodes)
+        return self._index.contains_defective(nodes)
 
     def count_contained(self, nodes: Sequence[int], k: int) -> int:
         """Number of planted k-sets fully inside `nodes`."""
-        return self.index().count_contained(nodes, k)
+        return self._index.count_contained(nodes, k)
 
     def validate_antichain(self) -> None:
         """Raise unless the family is an antichain of distinct sets.
@@ -145,19 +92,13 @@ class PlantedFamily:
         smaller planted set. Both checks run on `_set_keys` of the row
         store, one size at a time.
         """
-        columns, _ = self._rows
-        if not columns:
-            return
-        # Padding repeats a row's last member, so each rise adds one member.
-        width = np.ones(len(columns[0]), dtype=np.intp)
-        for a, b in zip(columns, columns[1:]):
-            width += a != b
+        store = self._index
         n = self.universe_size
         tiers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         repeated: set[KSet] = set()
-        for k in np.unique(width).tolist():
-            pick = np.flatnonzero(width == k)
-            rows = np.column_stack([col.take(pick) for col in columns[:k]])
+        for k in np.unique(store.sizes).tolist():
+            pick = np.flatnonzero(store.sizes == k)
+            rows = np.column_stack([col.take(pick) for col in store.columns[:k]])
             keys = _set_keys(rows, n)
             ordered = np.sort(keys)
             repeats = ordered[1:] == ordered[:-1]
@@ -223,68 +164,6 @@ class PlantedFamily:
 def _is_int(value) -> bool:
     """An exact integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _row_store(
-    universe_size: int, planted: Sequence[KSet]
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(columns, starts) of the planted sets, after checking each one.
-
-    Row i of `columns` is one planted set, padded to the largest size by
-    repeating its last member, so `frozenset(row)` is the set. Rows are
-    grouped by minimum member: rows starts[v]:starts[v + 1] are the sets
-    whose minimum is v. Each column is a contiguous array of the smallest
-    unsigned type holding universe_size.
-
-    The first planted set that is smaller than 2, not strictly ascending
-    or out of range raises, with the first of those checks it fails.
-    """
-    sizes = np.fromiter(map(len, planted), dtype=np.intp, count=len(planted))
-    ends = np.cumsum(sizes)
-    # A member outside the column type is out of range; int64 holds it
-    # for the checks below, which name the first offending set.
-    for dtype in (np.min_scalar_type(universe_size), np.int64):
-        try:
-            flat = np.fromiter(
-                chain.from_iterable(planted),
-                dtype=dtype,
-                count=int(ends[-1]) if ends.size else 0,
-            )
-            break
-        except OverflowError:
-            pass
-    else:
-        raise ValidationError("planted set member out of range")
-
-    def owner(positions: np.ndarray) -> np.ndarray:
-        return np.searchsorted(ends, positions, side="right")
-
-    falls = np.flatnonzero(flat[1:] <= flat[:-1])
-    left, right = owner(falls), owner(falls + 1)
-    checks = (
-        (np.flatnonzero(sizes < 2),
-         InvalidKError, "planted sets must have size >= 2"),
-        (left[left == right],
-         ValidationError, "planted sets must be strictly ascending"),
-        (owner(np.flatnonzero((flat < 0) | (flat >= universe_size))),
-         ValidationError, "planted set member out of range"),
-    )
-    failed = [(bad[0], rank) for rank, (bad, _, _) in enumerate(checks) if bad.size]
-    if failed:
-        _, exc, message = checks[min(failed)[1]]
-        raise exc(message)
-
-    heads = ends - sizes
-    order = np.argsort(flat[heads], kind="stable")
-    heads, last = heads[order], ends[order] - 1
-    columns = tuple(
-        flat.take(np.minimum(heads + j, last))
-        for j in range(int(sizes.max()) if sizes.size else 0)
-    )
-    starts = np.zeros(universe_size + 1, dtype=np.intp)
-    if columns:
-        np.cumsum(np.bincount(columns[0], minlength=universe_size), out=starts[1:])
-    return columns, starts
 
 
 def _set_keys(rows: np.ndarray, universe_size: int) -> np.ndarray:
@@ -401,9 +280,10 @@ class Oracle:
     the ledger: a true answer flipped to negative by noise is charged as
     a negative test, because that is the behavior the caller observes.
     Answers are never memoized here; any per-run bookkeeping belongs to
-    the search algorithms. The truth comes from `family`, either a whole
-    planted family or its projection onto a sample whose subsets are the
-    only queries a run will make.
+    the search algorithms. The truth comes from `family`: a whole planted
+    family answers from its row store, and a projection onto a sample S
+    answers queries on subsets of S, the only ones a run makes, from the
+    few planted sets inside S.
     """
 
     family: PlantedFamily | FamilyProjection

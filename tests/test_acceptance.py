@@ -14,6 +14,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from groupsight import (
@@ -113,20 +114,27 @@ def test_criterion_1_bound_compliance():
             r_bound = rc_max_tests(schedule, 20, 2, k_max)
             r_pos_bound = rc_max_positive(len(schedule))
             for p_fn in (0.0, 0.05):
-                oracle = Oracle(family, p_fn)
                 scfg = SightConfig(a0=a0, k_min=2, k_max=k_max)
                 rcfg = RcConfig(a0=a0, k_min=2, k_max=k_max, t_max=20)
                 key = a0 * 1000 + k_max * 10 + int(p_fn * 100)
                 for j in range(runs_per_combo):
+                    # Every query is a subset of s, so the projection answers
+                    # as the whole family would. Each sampler's INIT stream
+                    # is left where its own draw of s would leave it.
+                    init = spawn_generator(70, key, j, ROLE_INIT)
+                    s = sample(range(256), a0, init)
+                    oracle = Oracle(family.project(s), p_fn)
                     sres = run_sight(
                         256, scfg, oracle,
                         spawn_generator(70, key, j, ROLE_SIGHT),
-                        init_rng=spawn_generator(70, key, j, ROLE_INIT),
+                        init_rng=init, initial_sample=s,
                     )
+                    rc_init = spawn_generator(70, key, j, ROLE_INIT)
+                    sample(range(256), a0, rc_init)
                     rres = run_rc(
                         256, rcfg, oracle,
                         spawn_generator(70, key, j, ROLE_RC),
-                        init_rng=spawn_generator(70, key, j, ROLE_INIT),
+                        init_rng=rc_init, initial_sample=s,
                     )
                     total_runs += 2
                     if sres.ledger.total > s_bound:
@@ -377,11 +385,14 @@ def test_criterion_7_subset_ratio_theorem():
         fam = make_family(n, planted)
         m = pyr.randrange(max(4, n // 2), n)
         rng = spawn_generator(73, fam_idx)
+        # Row i marks the nodes of draw i; a planted set lies inside the
+        # draws whose row holds all its nodes.
+        drawn = np.zeros((draws, n), dtype=bool)
+        for row in drawn:
+            row[sample(range(n), m, rng)] = True
         totals = {k: 0 for k in fam.counts_by_k}
-        for _ in range(draws):
-            subset = sample(range(n), m, rng)
-            for k in totals:
-                totals[k] += fam.count_contained(subset, k)
+        for p in fam.planted:
+            totals[len(p)] += int(drawn[:, list(p)].all(axis=1).sum())
         for k, omega in fam.counts_by_k.items():
             expected = float(expected_planted_count(n, m, k, omega))
             mean = totals[k] / draws

@@ -1,11 +1,15 @@
-"""The full-family subset-query index."""
+"""The row store that answers a planted family's subset queries."""
 
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupsight import generate_family
 from groupsight.backend import FamilyIndex
+
+from conftest import brute_truth
 
 
 class TestKernelContract:
@@ -39,8 +43,7 @@ class TestKernelContract:
         assert idx.count_contained(q, 2) == 2
         assert idx.count_contained(q, 3) == 1
         assert idx.count_contained(q, 4) == 0
-        assert idx.n_sets == 3
-        # Each query holds the minimum of (0, 2, 4) and only part of its tail.
+        # Each query holds the minimum of (0, 2, 4) and only part of the rest.
         assert idx.count_contained([0, 2, 3, 5], 3) == 0
         assert not idx.contains_defective([0, 2, 5])
         from_lists = FamilyIndex(8, [[0, 1], [2, 3], [0, 2, 4]])
@@ -50,9 +53,24 @@ class TestKernelContract:
                 got = from_lists.count_contained(nodes, k)
                 assert got == idx.count_contained(nodes, k)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_count_contained_matches_brute_force_up_to_size_8(self, data):
+        n = data.draw(st.integers(8, 24))
+        sets = data.draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=2, max_size=8), max_size=30))
+        planted = [tuple(sorted(p)) for p in sets]
+        idx = FamilyIndex(n, planted)
+        for _ in range(5):
+            nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+            assert idx.contains_defective(nodes) == brute_truth(planted, nodes)
+            for k in range(2, 9):
+                inside = sum(len(p) == k and set(p) <= set(nodes) for p in planted)
+                assert idx.count_contained(nodes, k) == inside
+
 
 def test_index_allocates_under_200_bytes_per_set():
-    # A frozenset of 5 allocates about 740 bytes, a tail tuple about 80.
+    # A frozenset of 5 allocates about 740 bytes, a row of the store 11.
     fam = generate_family(1000, {5: 20_000}, seed=7)
     tracemalloc.start()
     try:
@@ -60,5 +78,4 @@ def test_index_allocates_under_200_bytes_per_set():
         allocated, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert idx.n_sets == 20_000
-    assert allocated / idx.n_sets < 200
+    assert allocated / 20_000 < 200

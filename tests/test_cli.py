@@ -635,6 +635,26 @@ class TestStatsBounds:
         (run_dir / "config.json").unlink()
         assert self.stats(run_dir, capsys)[0] == 0
 
+    @pytest.mark.parametrize(
+        "keep, held",
+        [
+            (lambda r: r["a0"] == 8, "a0 [8] with 20 pairs per cell"),
+            (lambda r: r["seed"] < 12, "a0 [8, 16] with 12 pairs per cell"),
+        ],
+        ids=["cut-cell", "cut-pairs"],
+    )
+    def test_log_cut_short_of_the_config_grid_exits_2(self, run_dir, capsys, keep, held):
+        log = run_dir / "runs.jsonl"
+        lines = [line for line in log.read_text().splitlines(keepends=True)
+                 if keep(json.loads(line))]
+        log.write_text("".join(lines))
+        code, err = self.stats(run_dir, capsys)
+        assert code == 2
+        assert err.startswith(f"error: {log}: holds {held}, but its run had "
+                              "a0 [8, 16] with 20"), err
+        (run_dir / "config.json").unlink()
+        assert self.stats(run_dir, capsys)[0] == 0
+
     def test_window_comes_from_the_config(self, run_dir, capsys):
         config = json.loads((run_dir / "config.json").read_text())
         (run_dir / "config.json").write_text(json.dumps({**config, "kmin": 3}))
@@ -655,16 +675,19 @@ class TestStatsBounds:
             json.dumps({"kmin": 1, "kmax": 4, "tmax": 20}),
             json.dumps({"kmin": 2, "kmax": 4, "tmax": 0}),
             json.dumps({"kmin": True, "kmax": 4, "tmax": 20}),
-            *(json.dumps({"kmin": 2, "kmax": 4, "tmax": 20, "rho": [1.0], "label": "x",
-                          **change})
+            *(json.dumps({"kmin": 2, "kmax": 4, "tmax": 20, "a0": [8, 16], "runs": 20,
+                          "rho": [1.0], "label": "x", **change})
               for change in ({"rho": "1,2"}, {"rho": [1, "x"]}, {"rho": [True]},
                              {"rho": [1, 1.0]}, {"rho": [-1]}, {"rho": [10**400]},
-                             {"rho": None}, {"label": 3}, {"label": None})),
+                             {"rho": None}, {"label": 3}, {"label": None},
+                             {"a0": []}, {"a0": [8, "16"]}, {"a0": 8},
+                             {"runs": 0}, {"runs": 20.0})),
         ],
         ids=["not-json", "not-object", "no-tmax", "string", "float", "kmin-above-kmax",
              "kmin-1", "tmax-0", "bool", "rho-string", "rho-member-string", "rho-bool",
              "rho-repeated", "rho-negative", "rho-huge", "rho-null", "label-number",
-             "label-null"],
+             "label-null", "a0-empty", "a0-member-string", "a0-number", "runs-0",
+             "runs-float"],
     )
     def test_malformed_config_exits_2_naming_it(self, run_dir, capsys, text):
         (run_dir / "config.json").write_text(text)
