@@ -20,6 +20,20 @@ FAMILY_SHA256 = "800c85dbd80e2042fbca74936730c4334a6edea2f21e4f8d5f2ad4dc2fec5c1
 RUNS_SHA256 = "f0e943292fbc6c91c675620473105fdddf54b071d5cee245caed7848a287a2fd"
 SUMMARY_SHA256 = "dea708b3e4ec844d5f457fd08af93fee4d560af56b16dfdc2041c96e10bbf8df"
 
+# `groupsight generate` bytes of the benchmark's 31,200-set family and of a
+# family whose set keys are too wide for int64 (1000**7 > 2**63).
+GENERATE_SHA256 = {
+    "n1000-k2-k3-k4-k5": (
+        ["--n", "1000", "--k2", "400", "--k3", "400", "--k4", "400",
+         "--k5", "30000", "--seed", "20250810"],
+        "9bbb1e2dc9db97f1c026e0159cbd816d3d0b17fdbcd8fcbab3b5d3d4d2c595ea",
+    ),
+    "n1000-k7-k8": (
+        ["--n", "1000", "--k7", "20", "--k8", "20"],
+        "fb167301c7acfab3433715a8a61b6ded43c044d054c9123a770227abb9dddd59",
+    ),
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -37,6 +51,14 @@ def golden_family(tmp_path_factory):
 
 def test_family_bytes(golden_family):
     assert sha256(golden_family) == FAMILY_SHA256
+
+
+@pytest.mark.parametrize("name", GENERATE_SHA256)
+def test_generate_bytes(tmp_path, name):
+    args, digest = GENERATE_SHA256[name]
+    path = tmp_path / "fam.json"
+    assert cli_main(["generate", *args, "-o", str(path)]) == 0
+    assert sha256(path) == digest
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -316,6 +316,21 @@ class TestProjection:
         assert type(fam.index()) is timed
         self.assert_same_store_and_answers(fam, pickle.loads(pickle.dumps(fam)))
 
+    def test_generated_family_equals_the_family_of_its_tuples(self):
+        fam = generate_family(300, {2: 40, 3: 60, 5: 2500}, seed=4)
+        rebuilt = PlantedFamily(fam.universe_size, fam.planted, fam.seed)
+        assert rebuilt == fam and hash(rebuilt) == hash(fam)
+        clone = pickle.loads(pickle.dumps(fam))
+        assert clone == fam and hash(clone) == hash(fam)
+        store, rebuilt_store = fam.index(), rebuilt.index()
+        for col, rebuilt_col in zip(
+            (*store.columns, store.starts, store.sizes),
+            (*rebuilt_store.columns, rebuilt_store.starts, rebuilt_store.sizes),
+            strict=True,
+        ):
+            assert rebuilt_col.dtype == col.dtype
+            assert np.array_equal(rebuilt_col, col)
+
     def test_replace_rebuilds_index_and_row_store(self):
         fam = PlantedFamily(6, ((1, 2),))
         assert fam.contains_defective([1, 2])
