@@ -45,35 +45,35 @@ class FamilyProjection:
 class FamilyIndex:
     """The planted sets as rows, checked and grouped by minimum member.
 
-    Row i of `columns` is one planted set of `sizes[i]` members, padded
-    to the largest size by repeating its last member, so
+    Row i of `columns` is planted set `order[i]`, of `sizes[i]` members,
+    padded to the largest size by repeating its last member, so
     `frozenset(row)` is the set. Rows starts[v]:starts[v + 1] are the
-    sets whose minimum is v. Each column is a contiguous array of the
-    smallest unsigned type holding universe_size.
+    sets whose minimum is v, in planted order. Each column is a
+    contiguous array of the smallest unsigned type holding universe_size.
 
-    The first planted set that is smaller than 2, not strictly ascending
-    or out of range raises, with the first of those checks it fails.
+    `planted` is a sequence of sets; or, with `sizes` given, an array of
+    the members of every set one after another, sizes[i] of them for set
+    i. The first set that is smaller than 2, not strictly ascending or
+    out of range raises, with the first of those checks it fails.
     """
 
-    __slots__ = ("universe_size", "columns", "starts", "sizes")
+    __slots__ = ("universe_size", "columns", "starts", "sizes", "order")
 
-    def __init__(self, universe_size: int, planted: Sequence[Sequence[int]]):
-        sizes = np.fromiter(map(len, planted), dtype=np.intp, count=len(planted))
-        ends = np.cumsum(sizes)
-        # A member outside the column type is out of range; int64 holds it
-        # for the checks below, which name the first offending set.
-        for dtype in (np.min_scalar_type(universe_size), np.int64):
-            try:
-                flat = np.fromiter(
-                    chain.from_iterable(planted),
-                    dtype=dtype,
-                    count=int(ends[-1]) if ends.size else 0,
-                )
-                break
-            except OverflowError:
-                pass
+    def __init__(
+        self,
+        universe_size: int,
+        planted: Sequence[Sequence[int]] | np.ndarray,
+        sizes: np.ndarray | None = None,
+    ):
+        if universe_size < 1:
+            raise ValidationError("universe_size must be positive")
+        column = np.min_scalar_type(universe_size)
+        if sizes is None:
+            sizes = np.fromiter(map(len, planted), dtype=np.intp, count=len(planted))
+            flat = _members(planted, int(sizes.sum()), column)
         else:
-            raise ValidationError("planted set member out of range")
+            flat = np.asarray(planted)
+        ends = np.cumsum(sizes)
 
         def owner(positions: np.ndarray) -> np.ndarray:
             return np.searchsorted(ends, positions, side="right")
@@ -93,6 +93,7 @@ class FamilyIndex:
             _, exc, message = checks[min(failed)[1]]
             raise exc(message)
 
+        flat = flat.astype(column, copy=False)
         width = int(sizes.max()) if sizes.size else 0
         heads = ends - sizes
         order = np.argsort(flat[heads], kind="stable")
@@ -107,12 +108,14 @@ class FamilyIndex:
         # Made last: made before the columns, it kept about 1.3 MB more
         # resident after generating a 31,200-set family (glibc heap layout).
         self.sizes = sizes.astype(np.min_scalar_type(width)).take(order)
+        self.order = order
         self.universe_size = universe_size
 
     def __reduce__(self):
         # By value, not by class: a subclass made at run time (a timed one,
         # say) has no importable name.
-        return _restore, (self.universe_size, self.columns, self.starts, self.sizes)
+        return _restore, (
+            self.universe_size, self.columns, self.starts, self.sizes, self.order)
 
     def _inside(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The distinct queried nodes, ascending, and the rows inside them.
@@ -151,10 +154,24 @@ class FamilyIndex:
         return int(np.count_nonzero(self.sizes.take(self._inside(nodes)[1]) == k))
 
 
-def _restore(universe_size, columns, starts, sizes) -> FamilyIndex:
+def _members(planted: Sequence[Sequence[int]], count: int, dtype) -> np.ndarray:
+    """The members of every set of `planted`, one after another.
+
+    A member outside `dtype` is out of range; int64 holds it for the
+    checks that name the first offending set.
+    """
+    for dtype in (dtype, np.int64):
+        try:
+            return np.fromiter(chain.from_iterable(planted), dtype=dtype, count=count)
+        except OverflowError:
+            pass
+    raise ValidationError("planted set member out of range")
+
+
+def _restore(universe_size, columns, starts, sizes, order) -> FamilyIndex:
     index = object.__new__(FamilyIndex)
-    index.universe_size, index.columns, index.starts, index.sizes = (
-        universe_size, columns, starts, sizes)
+    index.universe_size, index.columns, index.starts, index.sizes, index.order = (
+        universe_size, columns, starts, sizes, order)
     return index
 
 

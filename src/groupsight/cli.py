@@ -134,10 +134,11 @@ def cmd_generate(args) -> int:
     family = generate_family(args.n, counts, args.seed)
     family.validate_antichain()
     family.save(args.out)
-    total = len(family.planted)
+    placed = family.counts_by_k
+    total = sum(placed.values())
     if total == 0:
         print("warning: generated an empty family (every query answers non-defective)")
-    per_k = ", ".join(f"k={k}: {c}" for k, c in family.counts_by_k.items()) or "none"
+    per_k = ", ".join(f"k={k}: {c}" for k, c in placed.items()) or "none"
     print(f"wrote {args.out}: N={args.n}, {total} planted sets ({per_k}), "
           f"antichain verified")
     return 0

@@ -39,11 +39,14 @@ KSet = tuple[int, ...]
 class PlantedFamily:
     """Immutable ground truth: the antichain of minimal defective sets.
 
-    `planted` holds canonical (strictly ascending) tuples over the node
-    range [0, universe_size). Construction checks them while building
-    the row store (`backend.FamilyIndex`) that answers every query, and
-    a pickled family carries it. The store is not a constructor
-    argument, so `dataclasses.replace` builds it afresh for the new sets.
+    The sets live in the row store (`backend.FamilyIndex`), which checks
+    them on construction and answers every query; a pickled family
+    carries the store alone. `planted` holds them as canonical (strictly
+    ascending) tuples over the node range [0, universe_size). A family
+    built from tuples keeps the ones given; one generated or unpickled
+    makes them from the store when `planted` is first read, and keeps
+    them. The store is not a constructor argument, so
+    `dataclasses.replace` builds it afresh for the new sets.
     """
 
     universe_size: int
@@ -54,11 +57,55 @@ class PlantedFamily:
     )
 
     def __post_init__(self):
-        if self.universe_size < 1:
-            raise ValidationError("universe_size must be positive")
         object.__setattr__(
             self, "_index", backend.FamilyIndex(self.universe_size, self.planted)
         )
+
+    @classmethod
+    def _of_store(cls, store: backend.FamilyIndex, seed: int | None) -> "PlantedFamily":
+        """The family of the sets in `store`, whose `planted` is made when read."""
+        family = object.__new__(cls)
+        for name, value in (
+            ("universe_size", store.universe_size), ("seed", seed), ("_index", store)
+        ):
+            object.__setattr__(family, name, value)
+        return family
+
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute: `planted` of a family made by
+        # `_of_store` or unpickled, which is then built once and kept.
+        if name != "planted":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        planted = tuple(self._sets(tuple))
+        object.__setattr__(self, "planted", planted)
+        return planted
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("planted", None)
+        return state
+
+    def _sets(self, make) -> list:
+        """The planted sets in `planted` order, each `make(list of members)`.
+
+        Every set takes its members from one list of int objects, one per
+        node, so equal members are one object.
+        """
+        store = self._index
+        nodes = np.array(range(self.universe_size), dtype=object)
+        sets = np.empty(len(store.sizes), dtype=object)
+        for k in np.unique(store.sizes).tolist():
+            rows = np.flatnonzero(store.sizes == k)
+            # `_CHUNK` rows at a time, so that no list of lists outgrows them.
+            for lo in range(0, len(rows), _CHUNK):
+                part = rows[lo:lo + _CHUNK]
+                members = np.column_stack([col.take(part) for col in store.columns[:k]])
+                sets[store.order.take(part)] = np.fromiter(
+                    map(make, nodes[members].tolist()), dtype=object, count=len(part)
+                )
+        return sets.tolist()
 
     def index(self) -> backend.FamilyIndex:
         """The row store that answers the family's subset queries."""
@@ -70,10 +117,8 @@ class PlantedFamily:
 
     @property
     def counts_by_k(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for p in self.planted:
-            counts[len(p)] = counts.get(len(p), 0) + 1
-        return dict(sorted(counts.items()))
+        sizes, counts = np.unique(self._index.sizes, return_counts=True)
+        return dict(zip(sizes.tolist(), counts.tolist()))
 
     def contains_defective(self, nodes: Sequence[int]) -> bool:
         """Noise-free truth: does `nodes` contain some planted set?"""
@@ -127,7 +172,7 @@ class PlantedFamily:
     def to_json_dict(self) -> dict:
         return {
             "universe_size": self.universe_size,
-            "planted": [list(p) for p in self.planted],
+            "planted": self._sets(list),
             "seed": self.seed,
         }
 
@@ -350,28 +395,6 @@ def _draw_sets(
     return rows
 
 
-def _extend_sorted(
-    accepted: list[KSet], tier: set[KSet], k: int, universe_size: int
-) -> np.ndarray:
-    """Append the k-sets of `tier` to `accepted` in ascending order.
-
-    Returns their `_set_keys`, sorted, for sorting by key is sorting the
-    tuples. Members are read out `_CHUNK` sets at a time, so that no
-    temporary array outgrows the keys: a larger one, once freed, can
-    raise the peak RSS of what is built after it.
-    """
-    sets = np.fromiter(tier, dtype=object, count=len(tier))
-    parts = []
-    for lo in range(0, len(sets), _CHUNK):
-        part = sets[lo:lo + _CHUNK]
-        rows = np.fromiter(chain.from_iterable(part), dtype=np.int64, count=k * len(part))
-        parts.append(_set_keys(rows.reshape(-1, k), universe_size))
-    keys = np.concatenate(parts)
-    order = np.argsort(keys)
-    accepted.extend(sets[order].tolist())
-    return keys[order]
-
-
 def generate_family(
     universe_size: int,
     counts_by_k: Mapping[int, int],
@@ -386,9 +409,11 @@ def generate_family(
     containing an accepted smaller set; equal-size sets can never nest.
     Candidates violating either are discarded and redrawn. Deterministic
     given the seed. Each batch of candidates is tested for (b) at once on
-    set keys (`_nested`, the rule `validate_antichain` applies) and for
-    (a) on the tier's set of tuples; a tier is a set, so the order inside
-    a batch does not change what it keeps.
+    set keys (`_nested`, the rule `validate_antichain` applies), and (a)
+    counts the tier's distinct keys; a tier keeps the first row of each
+    key, in key order, so the order inside a batch does not change what
+    it keeps. The family is built from the tiers' rows, with no tuple
+    per set: `planted` is made when first read.
 
     Each candidate is the sorted `rng.choice(universe_size, k,
     replace=False)`, but a tier draws up to `_CHUNK` candidates from one
@@ -422,32 +447,45 @@ def generate_family(
             )
 
     rng = spawn_generator(seed, ROLE_FAMILY)
-    accepted: list[KSet] = []
+    column = np.min_scalar_type(universe_size)
+    tiers: list[np.ndarray] = []
     # The keys of each finished tier; all are smaller than k.
     smaller: dict[int, _SizeKeys] = {}
-    # One int object per node, shared by every planted set.
-    universe = np.fromiter(range(universe_size), dtype=object, count=universe_size)
     sizes = sorted(counts)
     for k in sizes:
         target = counts[k]
-        tier: set[KSet] = set()
+        # The candidates kept, repeats included, and the keys of the distinct ones.
+        kept: list[np.ndarray] = []
+        kept_keys: list[np.ndarray] = []
+        distinct: set = set()
         budget = attempts_per_set * max(target, 1)
-        while len(tier) < target:
+        while len(distinct) < target:
             if budget <= 0:
                 raise InfeasibleCountsError(
                     f"retry budget exhausted generating size-{k} sets "
-                    f"({len(tier)}/{target} placed)"
+                    f"({len(distinct)}/{target} placed)"
                 )
-            batch = min(target - len(tier), budget, _CHUNK)
+            batch = min(target - len(distinct), budget, _CHUNK)
             budget -= batch
             rows = _draw_sets(rng, universe_size, k, batch)
             rows = rows[~_nested(rows, smaller, universe_size)]
-            tier.update(map(tuple, universe[rows].tolist()))
-        keys = _extend_sorted(accepted, tier, k, universe_size)
+            keys = _set_keys(rows, universe_size)
+            distinct.update(keys.tolist())
+            kept.append(rows.astype(column))
+            kept_keys.append(keys)
+        del distinct
+        # Sorting by key is sorting the rows as tuples.
+        keys, first = np.unique(np.concatenate(kept_keys), return_index=True)
+        tiers.append(np.concatenate(kept)[first])
         if k != sizes[-1]:
             smaller[k] = _SizeKeys(keys)
         # Not kept beside the row store built below, where the peak RSS is.
-        del keys
-    return PlantedFamily(
-        universe_size=universe_size, planted=tuple(accepted), seed=seed
+        del kept, kept_keys, keys, first
+    flat = np.concatenate([np.empty(0, column), *(rows.ravel() for rows in tiers)])
+    set_sizes = np.repeat(
+        np.array([rows.shape[1] for rows in tiers], dtype=np.intp),
+        [len(rows) for rows in tiers],
     )
+    del tiers
+    store = backend.FamilyIndex(universe_size, flat, set_sizes)
+    return PlantedFamily._of_store(store, seed)
