@@ -10,6 +10,7 @@ initial set size and drives mid-run aborts.
 
 import hashlib
 import math
+import os
 import random
 import time
 from itertools import combinations
@@ -44,6 +45,7 @@ from groupsight import (
 )
 from groupsight import TestLedger as Ledger
 from groupsight.cli import main as cli_main
+from groupsight.oracle import _draw_sets
 
 from conftest import brute_least_defective_prefix, random_antichain_family
 
@@ -71,6 +73,8 @@ def comparison():
         t_max=20,
         p_fn=0.01,
         master_seed=1,
+        # Results do not depend on the thread count (criterion 9).
+        threads=2 if len(os.sched_getaffinity(0)) >= 2 else 1,
     )
     start = time.monotonic()
     result = run_experiment(family, config)
@@ -164,17 +168,20 @@ def test_criterion_2_minimality_oracle():
         n = pyrng.randrange(8, 31)
         fam = random_antichain_family(pyrng, n, max_sets=20, sizes=(2, 3, 4, 5))
         families += 1
-        oracle = Oracle(fam, 0.0)
         a0 = pyrng.randrange(5, n)
         for j in range(3):
             for runner, cfg, role in (
                 (run_sight, SightConfig(a0=a0, k_min=2, k_max=4), ROLE_SIGHT),
                 (run_rc, RcConfig(a0=a0, k_min=2, k_max=4), ROLE_RC),
             ):
+                # Every query is a subset of s, so the projection answers
+                # as the whole family would.
+                init = spawn_generator(71, families, j, ROLE_INIT)
+                s = sample(range(n), a0, init)
                 res = runner(
-                    n, cfg, oracle,
+                    n, cfg, Oracle(fam.project(s), 0.0),
                     spawn_generator(71, families, j, role),
-                    init_rng=spawn_generator(71, families, j, ROLE_INIT),
+                    init_rng=init, initial_sample=s,
                 )
                 if res.outcome is RunOutcome.FOUND:
                     finds += 1
@@ -385,11 +392,12 @@ def test_criterion_7_subset_ratio_theorem():
         fam = make_family(n, planted)
         m = pyr.randrange(max(4, n // 2), n)
         rng = spawn_generator(73, fam_idx)
-        # Row i marks the nodes of draw i; a planted set lies inside the
-        # draws whose row holds all its nodes.
+        # Row i marks the nodes of draw i, which `_draw_sets` takes from the
+        # stream as the i-th of `draws` calls `sample(range(n), m, rng)`
+        # would; a planted set lies inside the draws whose row holds all
+        # its nodes.
         drawn = np.zeros((draws, n), dtype=bool)
-        for row in drawn:
-            row[sample(range(n), m, rng)] = True
+        np.put_along_axis(drawn, _draw_sets(rng, n, m, draws), True, axis=1)
         totals = {k: 0 for k in fam.counts_by_k}
         for p in fam.planted:
             totals[len(p)] += int(drawn[:, list(p)].all(axis=1).sum())
