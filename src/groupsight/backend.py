@@ -72,35 +72,23 @@ class FamilyIndex:
             sizes = np.fromiter(map(len, planted), dtype=np.intp, count=len(planted))
             flat = _members(planted, int(sizes.sum()), column)
         else:
-            flat = np.asarray(planted)
-        ends = np.cumsum(sizes)
-
-        def owner(positions: np.ndarray) -> np.ndarray:
-            return np.searchsorted(ends, positions, side="right")
-
-        falls = np.flatnonzero(flat[1:] <= flat[:-1])
-        left, right = owner(falls), owner(falls + 1)
-        checks = (
-            (np.flatnonzero(sizes < 2),
-             InvalidKError, "planted sets must have size >= 2"),
-            (left[left == right],
-             ValidationError, "planted sets must be strictly ascending"),
-            (owner(np.flatnonzero((flat < 0) | (flat >= universe_size))),
-             ValidationError, "planted set member out of range"),
-        )
-        failed = [(bad[0], rank) for rank, (bad, _, _) in enumerate(checks) if bad.size]
-        if failed:
-            _, exc, message = checks[min(failed)[1]]
-            raise exc(message)
-
+            flat, sizes = np.asarray(planted), np.asarray(sizes)
+        ends = np.cumsum(sizes, dtype=np.intp)
+        _check_sets(flat, sizes, ends, universe_size)
         flat = flat.astype(column, copy=False)
+
         width = int(sizes.max()) if sizes.size else 0
-        heads = ends - sizes
-        order = np.argsort(flat[heads], kind="stable")
-        heads, last = heads[order], ends[order] - 1
-        self.columns = tuple(
-            flat.take(np.minimum(heads + j, last)) for j in range(width)
-        )
+        # Column j takes member j of each set, or its last: flat[at] for
+        # at = min(head + j, end - 1), made in place.
+        at = ends - sizes
+        order = np.argsort(flat.take(at), kind="stable")
+        ends -= 1
+        columns = []
+        for _ in range(width):
+            np.minimum(at, ends, out=at)
+            columns.append(flat.take(at).take(order))
+            at += 1
+        self.columns = tuple(columns)
         self.starts = np.zeros(universe_size + 1, dtype=np.intp)
         if self.columns:
             np.cumsum(np.bincount(self.columns[0], minlength=universe_size),
@@ -152,6 +140,34 @@ class FamilyIndex:
     def count_contained(self, nodes: Sequence[int], k: int) -> int:
         """Number of planted k-sets lying fully inside `nodes`."""
         return int(np.count_nonzero(self.sizes.take(self._inside(nodes)[1]) == k))
+
+
+def _check_sets(
+    flat: np.ndarray, sizes: np.ndarray, ends: np.ndarray, universe_size: int
+) -> None:
+    """Raise for the first set that is smaller than 2, not strictly
+    ascending or out of range, with the first of those checks it fails.
+
+    Set i has sizes[i] members, which end at flat[ends[i]].
+    """
+
+    def owner(positions: np.ndarray) -> np.ndarray:
+        return np.searchsorted(ends, positions, side="right")
+
+    falls = np.flatnonzero(flat[1:] <= flat[:-1])
+    left, right = owner(falls), owner(falls + 1)
+    checks = (
+        (np.flatnonzero(sizes < 2),
+         InvalidKError, "planted sets must have size >= 2"),
+        (left[left == right],
+         ValidationError, "planted sets must be strictly ascending"),
+        (owner(np.flatnonzero((flat < 0) | (flat >= universe_size))),
+         ValidationError, "planted set member out of range"),
+    )
+    failed = [(bad[0], rank) for rank, (bad, _, _) in enumerate(checks) if bad.size]
+    if failed:
+        _, exc, message = checks[min(failed)[1]]
+        raise exc(message)
 
 
 def _members(planted: Sequence[Sequence[int]], count: int, dtype) -> np.ndarray:

@@ -324,12 +324,27 @@ class TestProjection:
         assert clone == fam and hash(clone) == hash(fam)
         store, rebuilt_store = fam.index(), rebuilt.index()
         for col, rebuilt_col in zip(
-            (*store.columns, store.starts, store.sizes),
-            (*rebuilt_store.columns, rebuilt_store.starts, rebuilt_store.sizes),
+            (*store.columns, store.starts, store.sizes, store.order),
+            (*rebuilt_store.columns, rebuilt_store.starts, rebuilt_store.sizes,
+             rebuilt_store.order),
             strict=True,
         ):
             assert rebuilt_col.dtype == col.dtype
             assert np.array_equal(rebuilt_col, col)
+
+    def test_planted_of_a_generated_family_is_made_once_when_read(self):
+        fam = generate_family(60, {2: 10, 3: 10, 5: 300}, seed=31)
+        assert "planted" not in vars(fam)
+        planted = fam.planted
+        assert fam.planted is planted
+        assert [len(p) for p in planted] == [2] * 10 + [3] * 10 + [5] * 300
+
+    def test_pickled_family_leaves_its_tuples_behind(self):
+        fam = make_family(9, [(0, 5), (1, 2, 3), (4, 8)], seed=2)
+        clone = pickle.loads(pickle.dumps(fam))
+        assert "planted" not in vars(clone)
+        assert clone.planted == fam.planted
+        assert clone == fam and hash(clone) == hash(fam)
 
     def test_replace_rebuilds_index_and_row_store(self):
         fam = PlantedFamily(6, ((1, 2),))
@@ -514,22 +529,32 @@ class TestFamilyChecks:
     ORDER = (ValidationError, "planted sets must be strictly ascending")
     RANGE = (ValidationError, "planted set member out of range")
 
-    @pytest.mark.parametrize(
-        "universe_size, planted, expected",
-        [
-            pytest.param(10, ((0, 1), (3,), (4, 5, 6)), SIZE, id="size-1"),
-            pytest.param(10, ((0, 1), ()), SIZE, id="empty-set"),
-            pytest.param(10, ((0, 1), (2, 5, 4)), ORDER, id="descending"),
-            pytest.param(10, ((2, 3, 3, 7), (0, 1)), ORDER, id="repeated-member"),
-            pytest.param(10, ((4, 5), (-1, 2, 3)), RANGE, id="negative-member"),
-            pytest.param(10, ((0, 1), (2, 10)), RANGE, id="member-equals-n"),
-            pytest.param(1000, ((3, 4), (5, 70_000)), RANGE, id="member-70000"),
-        ],
-    )
+    DEFECTS = [
+        pytest.param(10, ((0, 1), (3,), (4, 5, 6)), SIZE, id="size-1"),
+        pytest.param(10, ((0, 1), ()), SIZE, id="empty-set"),
+        pytest.param(10, ((0, 1), (2, 5, 4)), ORDER, id="descending"),
+        pytest.param(10, ((2, 3, 3, 7), (0, 1)), ORDER, id="repeated-member"),
+        pytest.param(10, ((4, 5), (-1, 2, 3)), RANGE, id="negative-member"),
+        pytest.param(10, ((0, 1), (2, 10)), RANGE, id="member-equals-n"),
+        pytest.param(1000, ((3, 4), (5, 70_000)), RANGE, id="member-70000"),
+    ]
+
+    @pytest.mark.parametrize("universe_size, planted, expected", DEFECTS)
     def test_single_defect(self, universe_size, planted, expected):
         exc_type, message = expected
         with pytest.raises(ValidationError) as info:
             PlantedFamily(universe_size=universe_size, planted=planted)
+        assert type(info.value) is exc_type
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("universe_size, planted, expected", DEFECTS)
+    def test_single_defect_in_members_and_sizes(self, universe_size, planted, expected):
+        # The store built from all members one after another, as generation
+        # builds it, checks the sets as the one built from tuples does.
+        exc_type, message = expected
+        members = np.array([v for p in planted for v in p], dtype=np.int64)
+        with pytest.raises(ValidationError) as info:
+            FamilyIndex(universe_size, members, [len(p) for p in planted])
         assert type(info.value) is exc_type
         assert str(info.value) == message
 
