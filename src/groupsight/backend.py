@@ -74,6 +74,8 @@ class FamilyIndex:
         else:
             flat, sizes = np.asarray(planted), np.asarray(sizes)
         ends = np.cumsum(sizes, dtype=np.intp)
+        # A call of its own, so that its arrays are freed before the columns
+        # are made: on large families these steps set the peak RSS.
         _check_sets(flat, sizes, ends, universe_size)
         flat = flat.astype(column, copy=False)
 
@@ -148,7 +150,7 @@ def _check_sets(
     """Raise for the first set that is smaller than 2, not strictly
     ascending or out of range, with the first of those checks it fails.
 
-    Set i has sizes[i] members, which end at flat[ends[i]].
+    Set i is flat[ends[i] - sizes[i]:ends[i]].
     """
 
     def owner(positions: np.ndarray) -> np.ndarray:
@@ -170,13 +172,13 @@ def _check_sets(
         raise exc(message)
 
 
-def _members(planted: Sequence[Sequence[int]], count: int, dtype) -> np.ndarray:
+def _members(planted: Sequence[Sequence[int]], count: int, column) -> np.ndarray:
     """The members of every set of `planted`, one after another.
 
-    A member outside `dtype` is out of range; int64 holds it for the
-    checks that name the first offending set.
+    A member outside the `column` type is out of range; int64 holds it
+    for the checks that name the first offending set.
     """
-    for dtype in (dtype, np.int64):
+    for dtype in (column, np.int64):
         try:
             return np.fromiter(chain.from_iterable(planted), dtype=dtype, count=count)
         except OverflowError:

@@ -454,10 +454,11 @@ def generate_family(
     sizes = sorted(counts)
     for k in sizes:
         target = counts[k]
-        # The candidates kept, repeats included, and the keys of the distinct ones.
+        # The rows kept and their keys, repeats included; `distinct` counts
+        # the distinct keys.
         kept: list[np.ndarray] = []
         kept_keys: list[np.ndarray] = []
-        distinct: set = set()
+        distinct: set[int | bytes] = set()
         budget = attempts_per_set * max(target, 1)
         while len(distinct) < target:
             if budget <= 0:
