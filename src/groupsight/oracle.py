@@ -11,7 +11,7 @@ positive/negative test ledger.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations
@@ -43,9 +43,9 @@ class PlantedFamily:
     them on construction and answers every query; a pickled family
     carries the store alone. `planted` holds them as canonical (strictly
     ascending) tuples over the node range [0, universe_size). A family
-    built from tuples keeps the ones given; one generated or unpickled
-    makes them from the store when `planted` is first read, and keeps
-    them. The store is not a constructor argument, so
+    built from tuples keeps the ones given; one generated, loaded or
+    unpickled makes them from the store when `planted` is first read,
+    and keeps them. The store is not a constructor argument, so
     `dataclasses.replace` builds it afresh for the new sets.
     """
 
@@ -78,7 +78,10 @@ class PlantedFamily:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        planted = tuple(self._sets(tuple))
+        sets: list[KSet] = []
+        for chunk in self._chunks():
+            sets += map(tuple, chunk)
+        planted = tuple(sets)
         object.__setattr__(self, "planted", planted)
         return planted
 
@@ -87,25 +90,27 @@ class PlantedFamily:
         state.pop("planted", None)
         return state
 
-    def _sets(self, make) -> list:
-        """The planted sets in `planted` order, each `make(list of members)`.
+    def _chunks(self) -> Iterator[list[list[int]]]:
+        """The planted sets in `planted` order, `_CHUNK` at a time, as lists.
 
-        Every set takes its members from one list of int objects, one per
-        node, so equal members are one object.
+        Row i of the store is planted set `order[i]`, so the inverse
+        permutation reads the rows in `planted` order. Every set takes
+        its members from one list of int objects, one per node, so equal
+        members are one object.
         """
         store = self._index
         nodes = np.array(range(self.universe_size), dtype=object)
-        sets = np.empty(len(store.sizes), dtype=object)
-        for k in np.unique(store.sizes).tolist():
-            rows = np.flatnonzero(store.sizes == k)
-            # `_CHUNK` rows at a time, so that no list of lists outgrows them.
-            for lo in range(0, len(rows), _CHUNK):
-                part = rows[lo:lo + _CHUNK]
-                members = np.column_stack([col.take(part) for col in store.columns[:k]])
-                sets[store.order.take(part)] = np.fromiter(
-                    map(make, nodes[members].tolist()), dtype=object, count=len(part)
-                )
-        return sets.tolist()
+        rows = np.empty_like(store.order)
+        rows[store.order] = np.arange(len(rows))
+        for lo in range(0, len(rows), _CHUNK):
+            part = rows[lo:lo + _CHUNK]
+            sizes = store.sizes.take(part)
+            width = int(sizes.max())
+            members = np.column_stack([col.take(part) for col in store.columns[:width]])
+            sets = nodes[members].tolist()
+            if sizes.min() < width:
+                sets = [s[:k] for s, k in zip(sets, sizes.tolist())]
+            yield sets
 
     def index(self) -> backend.FamilyIndex:
         """The row store that answers the family's subset queries."""
@@ -135,12 +140,14 @@ class PlantedFamily:
         The error names the first set, in `planted` order, that repeats
         an earlier one, or if none does, the first that contains a
         smaller planted set. Both checks run on `_set_keys` of the row
-        store, one size at a time.
+        store, one size at a time, and `store.order` gives each row's
+        position in `planted`, so `planted` is not made.
         """
         store = self._index
         n = self.universe_size
         tiers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        repeated: set[KSet] = set()
+        # (position in `planted`, set) of the first offender of each size.
+        repeated: list[tuple[int, KSet]] = []
         for k in np.unique(store.sizes).tolist():
             pick = np.flatnonzero(store.sizes == k)
             rows = np.column_stack([col.take(pick) for col in store.columns[:k]])
@@ -148,58 +155,73 @@ class PlantedFamily:
             ordered = np.sort(keys)
             repeats = ordered[1:] == ordered[:-1]
             if repeats.any():
-                again = np.argsort(keys)[1:][repeats]
-                repeated.update(map(tuple, rows[again].tolist()))
+                # Equal sets share their minimum, so the store keeps them in
+                # `planted` order: all but the first of each key repeat one.
+                again = np.argsort(keys, kind="stable")[1:][repeats]
+                repeated.append(_first(store.order.take(pick), rows, again))
             tiers[k] = rows, ordered
         if repeated:
-            seen: set[KSet] = set()
-            for p in self.planted:
-                if p in repeated:
-                    if p in seen:
-                        raise _not_antichain(p)
-                    seen.add(p)
+            raise _not_antichain(min(repeated)[1])
         sizes = list(tiers)
         smaller = {k: _SizeKeys(tiers[k][1]) for k in sizes[:-1]}
-        nesting: set[KSet] = set()
+        nesting: list[tuple[int, KSet]] = []
         for k in sizes[1:]:
             rows = tiers[k][0]
             for lo in range(0, len(rows), _CHUNK):
                 chunk = rows[lo:lo + _CHUNK]
-                nesting.update(map(tuple, chunk[_nested(chunk, smaller, n)].tolist()))
+                hit = np.flatnonzero(_nested(chunk, smaller, n))
+                if hit.size:
+                    pick = np.flatnonzero(store.sizes == k)[lo:lo + _CHUNK]
+                    nesting.append(_first(store.order.take(pick), chunk, hit))
         if nesting:
-            raise _not_antichain(next(p for p in self.planted if p in nesting))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "universe_size": self.universe_size,
-            "planted": self._sets(list),
-            "seed": self.seed,
-        }
+            raise _not_antichain(min(nesting)[1])
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PlantedFamily":
-        """Family of a JSON record; every number in it must be an exact integer."""
+        """Family of a JSON record; every number in it must be an exact integer.
+
+        The row store is built from the record's lists, with no tuple per
+        set: `planted` is made when first read, as for a generated family.
+        """
         try:
             universe_size = data["universe_size"]
             planted = data["planted"]
             seed = data.get("seed")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed family record: {exc}") from exc
-        if not (isinstance(planted, list) and all(isinstance(p, list) for p in planted)):
+        # Each check gathers the types at C speed and tests value by value
+        # only when some value is not of the expected type exactly.
+        if not (isinstance(planted, list) and (
+            set(map(type, planted)) <= {list}
+            or all(isinstance(p, list) for p in planted)
+        )):
             raise ValidationError("family record 'planted' is not a list of lists")
-        planted = tuple(map(tuple, planted))
         if not _is_int(universe_size):
             raise ValidationError("family record 'universe_size' is not an integer")
-        if not all(map(_is_int, chain.from_iterable(planted))):
+        if not (set(map(type, chain.from_iterable(planted))) <= {int}
+                or all(map(_is_int, chain.from_iterable(planted)))):
             raise ValidationError("family record 'planted' has a non-integer member")
         if seed is not None and not _is_int(seed):
             raise ValidationError("family record 'seed' is not null or an integer")
-        fam = cls(universe_size=universe_size, planted=planted, seed=seed)
+        fam = cls._of_store(backend.FamilyIndex(universe_size, planted), seed)
         fam.validate_antichain()
         return fam
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
+        """Write the family's JSON record and a newline.
+
+        The file holds `json.dumps` of {"universe_size", "planted",
+        "seed"}, written from the row store `_CHUNK` sets at a time.
+        """
+        head = '{"universe_size": %s, "planted": [' % json.dumps(self.universe_size)
+        tail = '], "seed": %s}\n' % json.dumps(self.seed)
+        with Path(path).open("w") as out:
+            out.write(head)
+            for i, sets in enumerate(self._chunks()):
+                if i:
+                    out.write(", ")
+                out.write(json.dumps(sets)[1:-1])
+            out.write(tail)
 
     @classmethod
     def load(cls, path: str | Path) -> "PlantedFamily":
@@ -295,6 +317,17 @@ def _combinations(k: int, j: int) -> np.ndarray:
     return np.array(list(combinations(range(k), j)), dtype=np.intp)
 
 
+def _first(
+    place: np.ndarray, rows: np.ndarray, which: np.ndarray
+) -> tuple[int, KSet]:
+    """Of `rows[which]`, the row first in `planted` order, as (position, set).
+
+    `place[i]` is the position of `rows[i]` in `planted`.
+    """
+    i = which[np.argmin(place.take(which))]
+    return int(place[i]), tuple(rows[i].tolist())
+
+
 def _not_antichain(p: KSet) -> ValidationError:
     return ValidationError(
         f"family is not an antichain of distinct sets (offending set {p})"
@@ -368,8 +401,9 @@ def sample(pool: Sequence[int], count: int, rng: np.random.Generator) -> list[in
     return [int(pool[i]) for i in idx]
 
 
-# Most candidate rows one `_draw_sets` call draws in `generate_family`; it
-# bounds what a batch's arrays and row lists hold in memory.
+# Most candidate rows one `_draw_sets` call draws in `generate_family`, and
+# most sets validation tests or `save` writes at once; it bounds what a
+# batch's arrays and row lists hold in memory.
 _CHUNK = 1024
 
 

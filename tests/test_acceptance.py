@@ -46,6 +46,7 @@ from groupsight import (
 from groupsight import TestLedger as Ledger
 from groupsight.cli import main as cli_main
 from groupsight.oracle import _draw_sets
+from groupsight.rng import reset_generator, stream_keys
 
 from conftest import brute_least_defective_prefix, random_antichain_family
 
@@ -107,6 +108,7 @@ def test_criterion_1_bound_compliance():
         256, {2: 60, 3: 80, 4: 100, 5: 120, 6: 80}, seed=11
     )
     runs_per_combo = 2100
+    init, sight_rng, rc_rng = (np.random.Generator(np.random.Philox(key=0)) for _ in range(3))
     start = time.monotonic()
     total_runs = 0
     violations = 0
@@ -121,24 +123,28 @@ def test_criterion_1_bound_compliance():
                 scfg = SightConfig(a0=a0, k_min=2, k_max=k_max)
                 rcfg = RcConfig(a0=a0, k_min=2, k_max=k_max, t_max=20)
                 key = a0 * 1000 + k_max * 10 + int(p_fn * 100)
+                # The keys of substreams (70, key, j, role) for every run j,
+                # each run resetting the same three generators to its own.
+                init_keys, sight_keys, rc_keys = (
+                    stream_keys(70, key, np.arange(runs_per_combo), role).tolist()
+                    for role in (ROLE_INIT, ROLE_SIGHT, ROLE_RC)
+                )
                 for j in range(runs_per_combo):
                     # Every query is a subset of s, so the projection answers
                     # as the whole family would. Each sampler's INIT stream
                     # is left where its own draw of s would leave it.
-                    init = spawn_generator(70, key, j, ROLE_INIT)
+                    reset_generator(init, init_keys[j])
                     s = sample(range(256), a0, init)
                     oracle = Oracle(family.project(s), p_fn)
+                    reset_generator(sight_rng, sight_keys[j])
                     sres = run_sight(
-                        256, scfg, oracle,
-                        spawn_generator(70, key, j, ROLE_SIGHT),
-                        init_rng=init, initial_sample=s,
+                        256, scfg, oracle, sight_rng, init_rng=init, initial_sample=s,
                     )
-                    rc_init = spawn_generator(70, key, j, ROLE_INIT)
-                    sample(range(256), a0, rc_init)
+                    reset_generator(init, init_keys[j])
+                    sample(range(256), a0, init)
+                    reset_generator(rc_rng, rc_keys[j])
                     rres = run_rc(
-                        256, rcfg, oracle,
-                        spawn_generator(70, key, j, ROLE_RC),
-                        init_rng=rc_init, initial_sample=s,
+                        256, rcfg, oracle, rc_rng, init_rng=init, initial_sample=s,
                     )
                     total_runs += 2
                     if sres.ledger.total > s_bound:

@@ -6,6 +6,8 @@ references here walk every candidate's `combinations` in Python instead,
 one set at a time, which is how both worked before.
 """
 
+import json
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -128,6 +130,47 @@ class TestValidationMatchesReference:
     def test_named_offender(self, planted, offender):
         assert reference_offender(planted) == offender
         assert validation_outcome(10, planted) == expected_validation(planted)
+
+
+class TestValidationReadsTheStore:
+    """A family made from its store is validated there and keeps no tuples."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(family=small_families())
+    def test_unpickled_family_names_the_reference_offender(self, family):
+        n, planted = family
+        clone = pickle.loads(pickle.dumps(PlantedFamily(universe_size=n, planted=planted)))
+        assert outcome(clone.validate_antichain) == expected_validation(planted)
+        assert "planted" not in vars(clone)
+
+    @pytest.mark.parametrize(
+        "planted",
+        [
+            ((0, 1), (0, 1, 2), (3, 4), (5, 6), (3, 4)),
+            ((0, 1), (2, 3), (2, 3), (0, 1)),
+            # The 3-set's second copy comes before the 2-set's.
+            ((5, 6), (0, 1, 2), (0, 1, 2), (5, 6)),
+            ((2, 3), (0, 2, 3, 5), (1, 2, 3), (7, 8)),
+            ((0, 1, 4, 6, 8), (3, 5), (4, 8)),
+        ],
+        ids=["repeat-before-nest", "first-second-copy", "repeats-of-two-sizes",
+             "first-nest", "pair-in-five-set"],
+    )
+    def test_loaded_family_names_the_offender_without_its_tuples(
+        self, tmp_path, monkeypatch, planted
+    ):
+        validated = []
+        validate = PlantedFamily.validate_antichain
+
+        def recording(fam):
+            validated.append(fam)
+            validate(fam)
+
+        monkeypatch.setattr(PlantedFamily, "validate_antichain", recording)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"universe_size": 10, "planted": planted, "seed": None}))
+        assert outcome(lambda: PlantedFamily.load(path)) == expected_validation(planted)
+        assert "planted" not in vars(validated[0])
 
 
 class TestGenerationMatchesReference:

@@ -814,7 +814,9 @@ class TestMutatedInputs:
                 "-o", str(Path(tmp) / "out"),
             ])
             if code == 0:
-                loaded = PlantedFamily.load(fam).to_json_dict()
+                saved = Path(tmp) / "saved.json"
+                PlantedFamily.load(fam).save(saved)
+                loaded = json.loads(saved.read_text())
                 assert canonical(loaded) == canonical({"seed": None, **data})
             else:
                 assert code == 2 and err.startswith("error: "), err

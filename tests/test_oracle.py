@@ -485,6 +485,55 @@ class TestSerialization:
         loaded.save(tmp_path / "fam2.json")
         assert (tmp_path / "fam2.json").read_text() == path.read_text()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PlantedFamily(10, (), seed=5),
+            lambda: make_family(12, [(0, 1), (2, 3, 4)], seed=None),
+            # Sets of mixed sizes, not in the store's order.
+            lambda: PlantedFamily(
+                12, ((5, 9), (0, 1, 2, 3), (4, 10), (1, 6, 7), (0, 11), (2, 6, 8)), seed=4
+            ),
+            # 1,000 2-sets, then 3-sets: chunk 0 ends 24 sets into the 3-sets.
+            lambda: generate_family(100, {2: 1000, 3: 1100}, seed=2),
+            # The sizes of `generate --k7 20 --k8 20`, whose set keys are wide.
+            lambda: generate_family(1000, {7: 20, 8: 20}, seed=0),
+        ],
+        ids=["empty", "seed-none", "unsorted-mixed", "chunk-boundary", "wide-keys"],
+    )
+    def test_save_writes_json_dumps_of_the_record(self, tmp_path, make):
+        fam = make()
+        path = tmp_path / "fam.json"
+        fam.save(path)
+        record = {
+            "universe_size": fam.universe_size,
+            "planted": [list(p) for p in fam.planted],
+            "seed": fam.seed,
+        }
+        assert path.read_text() == json.dumps(record) + "\n"
+        PlantedFamily.load(path).save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_loaded_family_holds_no_tuples(self, tmp_path):
+        fam = generate_family(300, {2: 40, 3: 60, 5: 2500}, seed=4)
+        path = tmp_path / "fam.json"
+        fam.save(path)
+        loaded = PlantedFamily.load(path)
+        assert "planted" not in vars(loaded)
+        store, loaded_store = fam.index(), loaded.index()
+        for col, loaded_col in zip(
+            (*store.columns, store.starts, store.sizes, store.order),
+            (*loaded_store.columns, loaded_store.starts, loaded_store.sizes,
+             loaded_store.order),
+            strict=True,
+        ):
+            assert loaded_col.dtype == col.dtype
+            assert np.array_equal(loaded_col, col)
+        assert loaded.planted == fam.planted
+        assert loaded == fam and hash(loaded) == hash(fam)
+        clone = pickle.loads(pickle.dumps(loaded))
+        assert clone == fam and hash(clone) == hash(fam)
+
     def test_load_rejects_non_antichain(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
