@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsight import InfeasibleCountsError, PlantedFamily, ValidationError, generate_family
-from groupsight.oracle import _CHUNK, _draw_sets, _set_keys
+from groupsight.oracle import _CHUNK, _SizeKeys, _distinct, _draw_sets, _set_keys
 from groupsight.rng import ROLE_FAMILY, spawn_generator
 
 
@@ -257,3 +257,86 @@ class TestKeyWidth:
         bad = planted + (planted[-5],)
         assert validation_outcome(universe_size, bad) == expected_validation(bad)
         assert reference_offender(bad) == planted[-5]
+
+
+def tier_keys(count, seed):
+    """`count` distinct sorted int64 keys of 3-sets over 10,000 nodes."""
+    rng = np.random.default_rng(seed)
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < count:
+        rows = np.sort(rng.integers(0, 10_000, size=(count, 3)), axis=1)
+        rows = rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)]
+        keys = np.unique(np.concatenate((keys, _set_keys(rows, 10_000))))
+    return np.sort(rng.permutation(keys)[:count])
+
+
+class TestSizeKeys:
+    """The bitmap only filters: `holds` answers as `np.isin` does."""
+
+    # 1 and 400 keys get 64 to 128 slots each; 2**14 keys are the fewest that
+    # the 2**20-slot cap limits, to 64 each; 70,000 keys get the cap, which
+    # the rule of 8 to 16 slots per key also gives them.
+    @pytest.mark.parametrize("count, slots", [
+        (1, 128), (400, 2**15), (2**14, 2**20), (70_000, 2**20),
+    ])
+    def test_int64_tier_answers_as_isin(self, count, slots):
+        keys = tier_keys(count, seed=count)
+        tier = _SizeKeys(keys)
+        assert len(tier.bitmap) == slots
+        assert len(tier.bitmap) >= 1 << (8 * count).bit_length()
+        rng = np.random.default_rng(count + 1)
+        others = np.setdiff1d(tier_keys(20_000, seed=count + 2), keys)
+        passed = tier.bitmap[tier._slots(others)]
+        # Absent keys whose slot a present key set, which only the
+        # `searchsorted` check turns away.
+        colliding = others[passed]
+        assert colliding.size
+        queries = np.concatenate((
+            rng.choice(keys, 500), rng.choice(colliding, 500), rng.choice(others[~passed], 500),
+        ))
+        rng.shuffle(queries)
+        for q in (queries, queries.reshape(150, 10), queries[:1]):
+            assert np.array_equal(tier.holds(q), np.isin(q, keys))
+        assert not tier.holds(colliding).any()
+
+    def test_void_tier_answers_as_isin(self):
+        rng = np.random.default_rng(5)
+        n = 2**32 + 5
+        rows = np.sort(rng.integers(0, n, size=(600, 2)), axis=1)
+        keys = _set_keys(rows, n)
+        assert keys.dtype.type is np.void
+        tier = _SizeKeys(np.unique(keys[:300]))
+        assert tier.bitmap is None
+        for q in (keys, keys.reshape(60, 10)):
+            assert np.array_equal(tier.holds(q), np.isin(q, keys[:300]))
+
+
+class TestDistinct:
+    """`_distinct` keys as `np.unique` does, and picks an equal row."""
+
+    @pytest.mark.parametrize("universe_size, width", [(1000, 3), (1000, 7)],
+                             ids=["int64", "void"])
+    def test_same_keys_and_rows_as_unique(self, universe_size, width):
+        rng = np.random.default_rng(width)
+        rows = np.sort(rng.integers(0, universe_size, size=(2000, width)), axis=1)
+        # Repeats: runs of one row, and rows copied to scattered places.
+        rows[100:130] = rows[99]
+        rows[rng.integers(0, 2000, 300)] = rows[rng.integers(0, 2000, 300)]
+        keys = _set_keys(rows, universe_size)
+        ours, at = _distinct(keys)
+        expected, first = np.unique(keys, return_index=True)
+        assert len(expected) < 1800
+        assert ours.dtype == keys.dtype
+        assert np.array_equal(ours, expected)
+        assert np.array_equal(rows[at], rows[first])
+
+
+class TestCompleteTiers:
+    """Tiers drawn until every set of the size is planted repeat most draws."""
+
+    @pytest.mark.parametrize("universe_size, k", [(12, 2), (9, 3), (60, 2)])
+    def test_generation_matches_reference(self, universe_size, k):
+        counts = {k: comb(universe_size, k)}
+        planted = generate_family(universe_size, counts, seed=11).planted
+        assert planted == reference_generate(universe_size, counts, seed=11)
+        assert planted == tuple(combinations(range(universe_size), k))
