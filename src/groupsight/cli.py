@@ -191,7 +191,7 @@ def cmd_bounds(args) -> int:
     rows = [
         ("deterministic max total tests", sight_max_tests(args.a0, args.kmin, args.kmax)),
         ("deterministic max positive tests", sight_max_positive(args.a0, args.kmax)),
-        ("reduction schedule", schedule),
+        ("reduction schedule", list(schedule)),
         ("schedule length", len(schedule)),
         ("stochastic max total tests",
          rc_max_tests(schedule, args.tmax, args.kmin, args.kmax)),

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -40,8 +41,8 @@ import numpy as np
 from .bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from .errors import ValidationError
 from .oracle import Oracle, PlantedFamily, TestLedger, _is_int, sample
-from .rc import RcConfig, build_schedule, run_rc
-from .results import RunOutcome, RunResult
+from .rc import RcConfig, _rc, build_schedule
+from .results import RunOutcome, RunResult, start_run
 from .rng import (
     ROLE_INIT,
     ROLE_INIT_NOISE,
@@ -50,7 +51,7 @@ from .rng import (
     reset_generator,
     stream_keys,
 )
-from .sight import SightConfig, run_sight
+from .sight import SightConfig, _sight
 from .stats import mann_whitney_u
 
 DEFAULT_RHOS = (1.0, 10.0, 50.0, 100.0)
@@ -211,25 +212,17 @@ def run_pair(
     for generator, key in zip(streams.generators, keys):
         reset_generator(generator, key)
     init_rng, init_noise_rng, sight_rng, rc_rng = streams.generators
-    s = sample(range(family.universe_size), a0, init_rng)
+    n = family.universe_size
+    sight_config = SightConfig(a0, config.k_min, config.k_max)
+    rc_config = RcConfig(a0, config.k_min, config.k_max, config.t_max)
+    # The checks `run_sight` and `run_rc` would each make, made once.
+    s, _ = start_run(n, sight_config, sight_rng, init_noise_rng,
+                     sample(range(n), a0, init_rng))
+    rc_config.validate(n)
     oracle = Oracle(family.project(s), config.p_fn)
-    sight_res = run_sight(
-        family.universe_size,
-        SightConfig(a0, config.k_min, config.k_max),
-        oracle,
-        sight_rng,
-        init_rng=init_noise_rng,
-        initial_sample=s,
-    )
+    sight_res = _sight(sight_config, oracle, sight_rng, init_noise_rng, s)
     reset_generator(init_noise_rng, keys[1])
-    rc_res = run_rc(
-        family.universe_size,
-        RcConfig(a0, config.k_min, config.k_max, config.t_max),
-        oracle,
-        rc_rng,
-        init_rng=init_noise_rng,
-        initial_sample=s,
-    )
+    rc_res = _rc(rc_config, oracle, rc_rng, init_noise_rng, s)
     return PairResult(pair_id=pair_id, sight=sight_res, rc=rc_res)
 
 
@@ -268,12 +261,23 @@ def run_cell(
     if pool is None:
         streams = PairStreams(config.master_seed, a0, 0, runs)
         return [run_pair(family, config, a0, j, streams) for j in range(runs)]
-    chunk = max(1, -(-runs // (config.threads * 4)))
-    futures = [
-        pool.submit(_run_chunk, a0, start, min(start + chunk, runs))
-        for start in range(0, runs, chunk)
-    ]
+    futures = [pool.submit(_run_chunk, a0, *chunk) for chunk in _chunks(config)]
     return [pair for fut in futures for pair in fut.result()]
+
+
+def _chunks(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """The (start, stop) pair ranges a pool runs a cell in: four per thread."""
+    runs = config.runs_per_cell
+    size = max(1, -(-runs // (config.threads * 4)))
+    return [(start, min(start + size, runs)) for start in range(0, runs, size)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def amortize(
@@ -412,10 +416,12 @@ def run_experiment(family: PlantedFamily, config: ExperimentConfig) -> Experimen
     cells: dict[int, list[PairResult]] = {}
     summaries: list[CellSummary] = []
     # One worker pool serves every cell, so each worker receives the
-    # family once.
+    # family once. The pool may start all its workers at the first submit
+    # (it does under the fork start method), so it gets no more than the
+    # usable CPUs or a cell's chunks.
     if config.threads > 1:
         workers = ProcessPoolExecutor(
-            max_workers=config.threads,
+            max_workers=min(config.threads, _usable_cpus(), len(_chunks(config))),
             initializer=_init_worker,
             initargs=(family, config),
         )

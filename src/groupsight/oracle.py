@@ -409,15 +409,20 @@ def sample(pool: Sequence[int], count: int, rng: np.random.Generator) -> list[in
     The order is significant: the deterministic sampler binary-searches
     over positions of the returned list.
     """
-    n = len(pool)
+    idx = _choose(len(pool), count, rng)
+    if isinstance(pool, range) and pool.start == 0 and pool.step == 1:
+        return idx
+    return [int(pool[i]) for i in idx]
+
+
+def _choose(n: int, count: int, rng: np.random.Generator) -> list[int]:
+    """The positions `sample` draws from a pool of `n`: `count` distinct
+    integers in [0, n), in uniformly random order."""
     if count > n:
         raise SampleSizeError(f"cannot sample {count} elements from a pool of {n}")
     if count < 0:
         raise ValidationError("sample count must be nonnegative")
-    idx = rng.choice(n, size=count, replace=False).tolist()
-    if isinstance(pool, range) and pool.start == 0 and pool.step == 1:
-        return idx
-    return [int(pool[i]) for i in idx]
+    return rng.choice(n, size=count, replace=False).tolist()
 
 
 # Most candidate rows one `_draw_sets` call draws in `generate_family`, and

@@ -11,13 +11,13 @@ defective subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .oracle import KSet, Oracle, TestLedger, sample
+from .oracle import KSet, Oracle, TestLedger, _choose
 from .results import RunOutcome, RunResult, bottom_up, check_window, start_run
 
 ALGORITHM = "rc"
@@ -38,7 +38,8 @@ class RcConfig:
             raise ValidationError("t_max must be at least 1")
 
 
-def build_schedule(a0: int, k_max: int) -> list[int]:
+@cache
+def build_schedule(a0: int, k_max: int) -> tuple[int, ...]:
     """Strictly decreasing size schedule from a0 down to just above k_max.
 
     Each size is the ceiling of the previous divided by c, with c = 2
@@ -53,7 +54,7 @@ def build_schedule(a0: int, k_max: int) -> list[int]:
         prev = sizes[-1]
         nxt = (prev + 1) // 2 if prev > 20 else -(-prev * 2 // 3)
         if nxt <= k_max:
-            return sizes
+            return tuple(sizes)
         sizes.append(nxt)
 
 
@@ -91,6 +92,21 @@ def run_rc(
     sample and its test outcome while diverging stochastically after.
     """
     s, init_rng = start_run(universe_size, config, rng, init_rng, initial_sample)
+    return _rc(config, oracle, rng, init_rng, s)
+
+
+def _rc(
+    config: RcConfig,
+    oracle: Oracle,
+    rng: np.random.Generator,
+    init_rng: np.random.Generator,
+    s: list[int],
+) -> RunResult:
+    """The run of `run_rc` from the checked initial sample `s`.
+
+    Each step draws as `sample(s, a_i, rng)` does; `s` holds only plain
+    ints, so the members are taken as they are.
+    """
     ledger = TestLedger()
     result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
 
@@ -99,7 +115,7 @@ def run_rc(
 
     for step, a_i in enumerate(build_schedule(config.a0, config.k_max)[1:], start=1):
         for _ in range(config.t_max):
-            s_new = sample(s, a_i, rng)
+            s_new = [s[i] for i in _choose(len(s), a_i, rng)]
             if oracle.is_defective(s_new, ledger, rng):
                 s = s_new
                 break

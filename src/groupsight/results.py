@@ -106,10 +106,16 @@ def start_run(
 
 def ask(nodes: Sequence[int], oracle: Oracle, ledger: TestLedger,
         rng: np.random.Generator, tested: Optional[TestedRegistry] = None) -> bool:
-    """Test `nodes`, recording the answer in `tested` when one is given."""
-    result = oracle.is_defective(nodes, ledger, rng)
-    if tested is not None:
-        tested[frozenset(nodes)] = result
+    """Test `nodes`, recording the answer in `tested` when one is given.
+
+    With a registry, the oracle is asked about the frozenset that becomes
+    the registry key; `frozenset` of a frozenset is that same object, so
+    a projection does not hash the nodes a second time.
+    """
+    if tested is None:
+        return oracle.is_defective(nodes, ledger, rng)
+    key = frozenset(nodes)
+    tested[key] = result = oracle.is_defective(key, ledger, rng)
     return result
 
 
@@ -128,8 +134,9 @@ def bottom_up(
         tier = list(combinations(ordered, k))
         for idx in rng.permutation(len(tier)):
             cand = tier[idx]
-            if tested is not None and frozenset(cand) in tested:
+            key = frozenset(cand)
+            if tested is not None and key in tested:
                 continue
-            if ask(cand, oracle, ledger, rng, tested):
+            if ask(key, oracle, ledger, rng, tested):
                 return cand
     return None

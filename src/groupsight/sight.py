@@ -45,12 +45,13 @@ class SightConfig:
 
 
 def bin_search(
-    s: Sequence[int],
+    s: list[int],
     d: Sequence[int],
     oracle: Oracle,
     ledger: TestLedger,
     rng: np.random.Generator,
     tested: Optional[TestedRegistry] = None,
+    k_max: Optional[int] = None,
 ) -> int:
     """Leftmost 1-based index m such that d + s[:m] tests defective.
 
@@ -59,6 +60,8 @@ def bin_search(
     Uses at most ceil(log2(len(s))) tests. The caller guarantees that
     d + s tests defective on a noise-free oracle; under false negatives
     the returned index may be wrong, which the caller's flow absorbs.
+    Each probe is recorded in `tested`, when one is given, unless it
+    holds more than `k_max` nodes.
     """
     if not s:
         raise EmptySelectionError("cannot binary-search an empty list")
@@ -66,7 +69,9 @@ def bin_search(
     left, right = 1, len(s)
     while left < right:
         i = (right - left + 1) // 2  # ceil((right - left) / 2)
-        if ask(d + list(s[: right - i]), oracle, ledger, rng, tested):
+        probe = d + s[: right - i]
+        registry = tested if k_max is None or len(probe) <= k_max else None
+        if ask(probe, oracle, ledger, rng, registry):
             right = right - i
         else:
             left = right - i + 1
@@ -108,33 +113,48 @@ def run_sight(
     initial sample unless `initial_sample` gives one, then the initial
     test's noise draw. Paired runs hand both samplers the same sample and
     generators for the same substream, so they share that prefix exactly.
-
-    Every tested set is registered: the minimality pass skips registered
-    subsets for free, and the accumulated-set test reuses a registered
-    answer instead of charging a duplicate test.
     """
     s, init_rng = start_run(universe_size, config, rng, init_rng, initial_sample)
+    return _sight(config, oracle, rng, init_rng, s)
+
+
+def _sight(
+    config: SightConfig,
+    oracle: Oracle,
+    rng: np.random.Generator,
+    init_rng: np.random.Generator,
+    s: list[int],
+) -> RunResult:
+    """The run of `run_sight` from the checked initial sample `s`.
+
+    Every tested set of at most k_max nodes is registered; those are the
+    only sets looked up. The minimality pass skips registered subsets for
+    free, and the accumulated-set test reuses a registered answer instead
+    of charging a duplicate test.
+    """
     ledger = TestLedger()
     tested: TestedRegistry = {}
     result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
+    k_max = config.k_max
 
-    if not ask(s, oracle, ledger, init_rng, tested):
+    if not ask(s, oracle, ledger, init_rng, tested if len(s) <= k_max else None):
         return result(RunOutcome.ABORT_INITIAL, positives_pre_bottom_up=0)
 
     d: list[int] = []
     # An empty `s` means defective content was truncated away (false
     # negatives) or completes below k_min: abort, as at k_max.
-    while s and len(d) < config.k_max:
-        m = bin_search(s, d, oracle, ledger, rng, tested)
+    while s and len(d) < k_max:
+        m = bin_search(s, d, oracle, ledger, rng, tested, k_max)
         d.append(s[m - 1])
         if len(d) >= config.k_min:
-            defective = tested.get(frozenset(d))
+            key = frozenset(d)
+            defective = tested.get(key)
             if defective is None:
-                defective = ask(d, oracle, ledger, rng, tested)
+                defective = ask(key, oracle, ledger, rng, tested)
             if defective:
                 pre_bu = ledger.positives
                 found = bottom_up_sight(
-                    d, config.k_min, config.k_max, tested, oracle, ledger, rng
+                    d, config.k_min, k_max, tested, oracle, ledger, rng
                 )
                 return result(RunOutcome.FOUND, found=found,
                               positives_pre_bottom_up=pre_bu)

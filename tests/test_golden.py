@@ -20,6 +20,13 @@ FAMILY_SHA256 = "800c85dbd80e2042fbca74936730c4334a6edea2f21e4f8d5f2ad4dc2fec5c1
 RUNS_SHA256 = "f0e943292fbc6c91c675620473105fdddf54b071d5cee245caed7848a287a2fd"
 SUMMARY_SHA256 = "dea708b3e4ec844d5f457fd08af93fee4d560af56b16dfdc2041c96e10bbf8df"
 
+# A k_max = 6 run on a family with 5- and 6-sets, p_fn 0.05: the
+# deterministic sampler looks up sets of up to k_max nodes in its registry
+# of tested sets, and a registry that dropped the 5- and 6-sets changes
+# these bytes.
+K6_RUNS_SHA256 = "16ed455c5dbcfa05b3cfb23efcb352bf9b0016dca9382bfeb5ebd93c6883e3ff"
+K6_SUMMARY_SHA256 = "eb77510ebffc14de76b3ecb46550ca10a5c95b923c4e1f54f2c40d5700deaf89"
+
 # `groupsight generate` bytes of the benchmark's 31,200-set family and of a
 # family whose set keys are too wide for int64 (1000**7 > 2**63).
 GENERATE_SHA256 = {
@@ -72,3 +79,19 @@ def test_run_bytes(golden_family, tmp_path, threads):
     ]) == 0
     assert sha256(out / "runs.jsonl") == RUNS_SHA256
     assert sha256(out / "summary.csv") == SUMMARY_SHA256
+
+
+def test_run_bytes_at_k_max_6(tmp_path):
+    family = tmp_path / "fam.json"
+    assert cli_main([
+        "generate", "--n", "60", "--k2", "4", "--k3", "6", "--k5", "40",
+        "--k6", "60", "--seed", "5", "-o", str(family),
+    ]) == 0
+    out = tmp_path / "out"
+    assert cli_main([
+        "run", "--family", str(family), "--a0", "16,32,48", "--runs", "100",
+        "--kmin", "2", "--kmax", "6", "--pfn", "0.05", "--seed", "11",
+        "--label", "k6", "-o", str(out),
+    ]) == 0
+    assert sha256(out / "runs.jsonl") == K6_RUNS_SHA256
+    assert sha256(out / "summary.csv") == K6_SUMMARY_SHA256

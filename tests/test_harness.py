@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -134,13 +135,24 @@ class TestRunPair:
         assert 0 < agreements < 120
 
     def test_matches_samplers_run_on_the_full_oracle(self):
-        # A pair answers from the family projected onto its initial sample
-        # and shares one initial-test noise draw between its two sides;
-        # each side must still equal that sampler run alone on the full
-        # family with its own INIT and INIT_NOISE generators.
-        fam = generate_family(60, {2: 10, 3: 10, 5: 300}, seed=31)
+        self.check_against_lone_runs({2: 10, 3: 10, 5: 300}, k_max=4)
+
+    def test_matches_samplers_run_on_the_full_oracle_at_k_max_6(self):
+        # The registry holds the sets of 5 and 6 nodes too.
+        sizes = self.check_against_lone_runs({2: 4, 3: 6, 5: 40, 6: 60, 7: 3000}, k_max=6)
+        assert {5, 6} <= sizes
+
+    @staticmethod
+    def check_against_lone_runs(counts, k_max):
+        # A pair answers from the family projected onto its initial sample,
+        # shares one initial-test noise draw between its two sides and
+        # checks its sample once; each side must still equal that sampler
+        # run alone, through its public entry point, on the full family
+        # with its own INIT and INIT_NOISE generators.
+        fam = generate_family(60, counts, seed=31)
         cfg = ExperimentConfig(
-            a0_grid=(8, 16, 32), runs_per_cell=1, p_fn=0.05, master_seed=7
+            a0_grid=(8, 16, 32), runs_per_cell=1, k_max=k_max, p_fn=0.05,
+            master_seed=7,
         )
         oracle = Oracle(fam, cfg.p_fn)
         seed = cfg.master_seed
@@ -148,7 +160,7 @@ class TestRunPair:
         def initial(a0, j):
             return sample(range(fam.universe_size), a0, spawn_generator(seed, a0, j, ROLE_INIT))
 
-        outcomes = set()
+        outcomes, sizes = set(), set()
         for a0 in cfg.a0_grid:
             for j in range(100):
                 pair = run_pair(fam, cfg, a0, j)
@@ -171,7 +183,20 @@ class TestRunPair:
                 assert pair.sight == sight
                 assert pair.rc == rc
                 outcomes.update((pair.sight.outcome, pair.rc.outcome))
+                sizes.update(r.found_k for r in (pair.sight, pair.rc))
         assert outcomes == set(RunOutcome)
+        return sizes
+
+    def test_checks_both_samplers_configs(self):
+        fam = make_family(16, [{0, 1}])
+        cfg = ExperimentConfig(a0_grid=(8,), runs_per_cell=1)
+        with pytest.raises(ValidationError, match="k_max <= a0"):
+            run_pair(fam, cfg, 3, 0)
+        # The deterministic sampler accepts a0 = k_max; the stochastic one does not.
+        with pytest.raises(ValidationError, match="k_max < a0"):
+            run_pair(fam, cfg, 4, 0)
+        with pytest.raises(ValidationError, match="t_max"):
+            run_pair(fam, dataclasses.replace(cfg, t_max=0), 8, 0)
 
     def test_alone_equals_its_place_in_a_cell_or_chunk(self):
         # A cell derives its pairs' stream keys in one pass and reuses four
@@ -312,11 +337,57 @@ class TestExperimentOutputs:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
         threaded = run_experiment(family, dataclasses.replace(config, threads=2))
         assert starts == [2]
         baseline = run_experiment(family, config)
         assert threaded.cells == baseline.cells
         assert threaded.summaries == baseline.summaries
+
+    @pytest.mark.parametrize("cpus, threads, runs, workers", [
+        (4, 5000, 80, 4),   # capped at the usable CPUs
+        (64, 5000, 3, 3),   # capped at a cell's chunks, one pair each
+        (64, 6, 80, 6),     # as asked
+    ])
+    def test_pool_never_outgrows_the_cpus_or_the_chunks(
+        self, family, config, monkeypatch, cpus, threads, runs, workers
+    ):
+        asked = []
+
+        class InlinePool:
+            """Records the pool size and runs every chunk here, starting no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                harness._init_worker(None, None)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        config = dataclasses.replace(config, runs_per_cell=runs)
+        pooled = run_experiment(family, dataclasses.replace(config, threads=threads))
+        assert asked == [workers]
+        assert pooled.cells == run_experiment(family, config).cells
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert harness._usable_cpus() == 3
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 5)
+        assert harness._usable_cpus() == 5
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
 
     def test_malformed_run_record_names_its_line(self, family, config, tmp_path):
         result = run_experiment(family, config)

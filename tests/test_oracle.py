@@ -205,6 +205,28 @@ class TestContainsDefective:
             assert fam.count_contained(s, k) == inside
 
 
+    def test_list_tuple_and_frozenset_give_one_answer(self):
+        # A run hands the oracle the frozenset it registers; a whole
+        # family must answer it as it answers the same nodes in a list.
+        fam = make_family(12, [{0, 1}, {2, 3, 4}, {5, 6, 7, 8}])
+        rng = random.Random(17)
+        for _ in range(200):
+            nodes = rng.sample(range(12), rng.randrange(1, 13))
+            forms = [nodes, tuple(nodes), frozenset(nodes)]
+            truth = brute_truth(fam.planted, nodes)
+            assert [fam.contains_defective(f) for f in forms] == [truth] * 3
+            for k in (2, 3, 4):
+                assert len({fam.count_contained(f, k) for f in forms}) == 1
+            answers = []
+            for f in forms:
+                ledger = Ledger()
+                answers.append((Oracle(fam, p_fn=0.4).is_defective(
+                    f, ledger, spawn_generator(9, len(nodes))), ledger))
+            assert answers[0] == answers[1] == answers[2]
+        with pytest.raises(ValidationError):
+            fam.contains_defective(frozenset({0, 12}))
+
+
 class TestProjection:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -240,6 +262,14 @@ class TestProjection:
         proj = fam.project([0, 2, 3, 5, 6, 7, 8])
         assert proj.sets == ()
         assert not proj.contains_defective([0, 2, 3, 5, 6, 7, 8])
+
+    def test_frozenset_query_outside_the_sample_rejected(self):
+        proj = make_family(10, [{0, 1}, {2, 3}]).project([0, 1, 2, 3])
+        assert proj.contains_defective(frozenset({0, 1}))
+        assert not proj.contains_defective(frozenset({1, 2}))
+        for bad in ({0, 1, 4}, {9}):
+            with pytest.raises(ValidationError):
+                proj.contains_defective(frozenset(bad))
 
     def test_sample_out_of_range_rejected(self):
         fam = make_family(10, [{0, 1}])

@@ -36,13 +36,13 @@ class TestBuildSchedule:
     def test_large_start_halves_then_slows(self):
         # Halving applies while sizes exceed 20; the slower 1.5 divisor
         # takes over below, and generation stops above k_max.
-        assert build_schedule(176, 4) == [176, 88, 44, 22, 11, 8, 6]
+        assert build_schedule(176, 4) == (176, 88, 44, 22, 11, 8, 6)
 
     def test_small_start_uses_slow_divisor_throughout(self):
-        assert build_schedule(16, 4) == [16, 11, 8, 6]
+        assert build_schedule(16, 4) == (16, 11, 8, 6)
 
     def test_first_reduction_already_too_small(self):
-        assert build_schedule(5, 4) == [5]
+        assert build_schedule(5, 4) == (5,)
 
     def test_rejects_start_at_or_below_k_max(self):
         with pytest.raises(ValidationError):
