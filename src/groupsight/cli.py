@@ -72,7 +72,8 @@ def _parse_setting(key: str, text: str, where: str):
 
 
 def read_config_file(path: str | Path) -> dict[str, object]:
-    """Parse a `key = value` file of `run` settings; '#' starts a comment."""
+    """Parse a `key = value` file of `run` settings, each key at most once;
+    '#' starts a comment."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,6 +84,8 @@ def read_config_file(path: str | Path) -> dict[str, object]:
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in RUN_SETTINGS:
             raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in values:
+            raise ValidationError(f"{path}:{lineno}: repeated key '{key}'")
         values[key] = _parse_setting(key, text, f"{path}:{lineno}")
     return values
 

@@ -7,19 +7,18 @@ benchmark reports: medians, abort rates, found-size proportions,
 Mann-Whitney comparisons, and expected costs under a configurable
 positive:negative test cost ratio.
 
-A pair projects the planted family onto its initial sample once and
-answers every test of both samplers from that projection, since each
-query is a subset of the initial sample; the full-family index is not
-consulted during paired runs.
+One loop, `_run_pairs`, runs every paired run, whether one pair alone
+(`run_pair`), a whole cell in process or a chunk of a cell in a worker.
+It checks both samplers' configs once, derives the Philox keys of all its
+pairs' streams in one pass and resets four reused generators to each
+pair's keys. A pair draws its initial sample, projects the planted family
+onto it and answers every test of both samplers from that projection,
+since each query is a subset of the initial sample.
 
 All randomness is derived from (master seed, a0, run index, role)
 substreams, so results are byte-identical for a given configuration no
-matter how many worker processes execute the grid. A cell run in process,
-or a chunk of it run by a worker, derives the Philox keys of all its
-pairs' streams in one pass and resets four reused generators to each
-pair's keys; the initial-test noise stream is rewound by resetting it to
-its key again. With more than one thread, one worker pool serves every
-cell of an experiment.
+matter how many worker processes execute the grid. With more than one
+thread, one worker pool serves every cell of an experiment.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from .errors import ValidationError
 from .oracle import Oracle, PlantedFamily, TestLedger, _is_int, sample
 from .rc import RcConfig, _rc, build_schedule
-from .results import RunOutcome, RunResult, start_run
+from .results import RunOutcome, RunResult
 from .rng import (
     ROLE_INIT,
     ROLE_INIT_NOISE,
@@ -79,6 +78,10 @@ class ExperimentConfig:
             raise ValidationError("runs per cell must be at least 1")
         if self.threads < 1:
             raise ValidationError("threads must be at least 1")
+        if not 0.0 <= self.p_fn < 1.0:
+            raise ValidationError("p_fn must lie in [0, 1)")
+        if self.master_seed < 0:
+            raise ValidationError("master_seed must be nonnegative")
         check_rhos(self.rhos)
         for a0 in self.a0_grid:
             SightConfig(a0, self.k_min, self.k_max).validate(universe_size)
@@ -150,46 +153,10 @@ class CellSummary:
     p_neg: Optional[float]
 
 
-class PairStreams:
-    """The random streams of pairs start..stop-1 of one cell.
-
-    The Philox keys of every pair's four streams (INIT, INIT_NOISE,
-    SIGHT, RC) are derived in one pass; each pair then resets the same
-    four generators to its own keys.
-    """
-
-    def __init__(self, master_seed: int, a0: int, start: int, stop: int) -> None:
-        pairs = np.arange(start, stop)
-        self.cell = (master_seed, a0)
-        self.start = start
-        self.stop = stop
-        # One row per pair: the (lo, hi) keys of INIT, INIT_NOISE, SIGHT, RC.
-        self.keys = np.hstack([
-            stream_keys(master_seed, a0, pairs, ROLE_INIT),
-            stream_keys(master_seed, pairs, ROLE_INIT_NOISE),
-            stream_keys(master_seed, a0, pairs, ROLE_SIGHT),
-            stream_keys(master_seed, a0, pairs, ROLE_RC),
-        ])
-        self.generators = tuple(
-            np.random.Generator(np.random.Philox(key=0)) for _ in range(4)
-        )
-
-    def pair_keys(self, master_seed: int, a0: int, pair_id: int) -> list[list[int]]:
-        """The INIT, INIT_NOISE, SIGHT and RC keys of one pair of cell (master_seed, a0)."""
-        if (master_seed, a0) != self.cell or not self.start <= pair_id < self.stop:
-            raise ValueError(f"pair {pair_id} (a0={a0}) is not one of these streams' pairs")
-        row = self.keys[pair_id - self.start].tolist()
-        return [row[i:i + 2] for i in range(0, 8, 2)]
-
-
 def run_pair(
-    family: PlantedFamily,
-    config: ExperimentConfig,
-    a0: int,
-    pair_id: int,
-    streams: Optional[PairStreams] = None,
+    family: PlantedFamily, config: ExperimentConfig, a0: int, pair_id: int
 ) -> PairResult:
-    """Execute one paired run.
+    """Execute one paired run: pair `pair_id` of cell `a0`, as a cell runs it.
 
     The initial sample S is drawn once, from the INIT substream, and both
     samplers start from it. Every later query either sampler makes is a
@@ -201,29 +168,44 @@ def run_pair(
     substream is keyed without a0, so cells of different initial sizes
     also share it (common random numbers: at saturation the same pairs
     flip to false negatives in every cell).
-
-    `streams` holds the stream keys of a chunk of pairs of this cell that
-    includes `pair_id`; without it, the pair derives its keys as a chunk
-    of one.
     """
-    if streams is None:
-        streams = PairStreams(config.master_seed, a0, pair_id, pair_id + 1)
-    keys = streams.pair_keys(config.master_seed, a0, pair_id)
-    for generator, key in zip(streams.generators, keys):
-        reset_generator(generator, key)
-    init_rng, init_noise_rng, sight_rng, rc_rng = streams.generators
+    return _run_pairs(family, config, a0, pair_id, pair_id + 1)[0]
+
+
+def _run_pairs(
+    family: PlantedFamily, config: ExperimentConfig, a0: int, start: int, stop: int
+) -> list[PairResult]:
+    """Pairs start..stop-1 of cell `a0`, in pair-id order, each as `run_pair`
+    describes. Both samplers' configs are checked once; each pair's sample
+    is drawn here, so it needs none of the checks `start_run` makes."""
     n = family.universe_size
     sight_config = SightConfig(a0, config.k_min, config.k_max)
     rc_config = RcConfig(a0, config.k_min, config.k_max, config.t_max)
-    # The checks `run_sight` and `run_rc` would each make, made once.
-    s, _ = start_run(n, sight_config, sight_rng, init_noise_rng,
-                     sample(range(n), a0, init_rng))
+    sight_config.validate(n)
     rc_config.validate(n)
-    oracle = Oracle(family.project(s), config.p_fn)
-    sight_res = _sight(sight_config, oracle, sight_rng, init_noise_rng, s)
-    reset_generator(init_noise_rng, keys[1])
-    rc_res = _rc(rc_config, oracle, rc_rng, init_noise_rng, s)
-    return PairResult(pair_id=pair_id, sight=sight_res, rc=rc_res)
+    seed, pair_ids = config.master_seed, np.arange(start, stop)
+    # One row per pair: the (lo, hi) keys of INIT, INIT_NOISE, SIGHT, RC.
+    keys = np.hstack([
+        stream_keys(seed, a0, pair_ids, ROLE_INIT),
+        stream_keys(seed, pair_ids, ROLE_INIT_NOISE),
+        stream_keys(seed, a0, pair_ids, ROLE_SIGHT),
+        stream_keys(seed, a0, pair_ids, ROLE_RC),
+    ])
+    generators = [np.random.Generator(np.random.Philox(key=0)) for _ in range(4)]
+    init_rng, init_noise_rng, sight_rng, rc_rng = generators
+    pairs = []
+    for pair_id, row in zip(range(start, stop), keys):
+        row = row.tolist()
+        pair_keys = [row[i:i + 2] for i in range(0, 8, 2)]
+        for generator, key in zip(generators, pair_keys):
+            reset_generator(generator, key)
+        s = sample(range(n), a0, init_rng)
+        oracle = Oracle(family.project(s), config.p_fn)
+        sight_res = _sight(sight_config, oracle, sight_rng, init_noise_rng, s)
+        reset_generator(init_noise_rng, pair_keys[1])
+        rc_res = _rc(rc_config, oracle, rc_rng, init_noise_rng, s)
+        pairs.append(PairResult(pair_id=pair_id, sight=sight_res, rc=rc_res))
+    return pairs
 
 
 _worker_family: Optional[PlantedFamily] = None
@@ -238,11 +220,7 @@ def _init_worker(family: PlantedFamily, config: ExperimentConfig) -> None:
 
 def _run_chunk(a0: int, start: int, stop: int) -> list[PairResult]:
     assert _worker_family is not None and _worker_config is not None
-    streams = PairStreams(_worker_config.master_seed, a0, start, stop)
-    return [
-        run_pair(_worker_family, _worker_config, a0, j, streams)
-        for j in range(start, stop)
-    ]
+    return _run_pairs(_worker_family, _worker_config, a0, start, stop)
 
 
 def run_cell(
@@ -257,10 +235,8 @@ def run_cell(
     `_init_worker` set up with this family and config; otherwise in this
     process.
     """
-    runs = config.runs_per_cell
     if pool is None:
-        streams = PairStreams(config.master_seed, a0, 0, runs)
-        return [run_pair(family, config, a0, j, streams) for j in range(runs)]
+        return _run_pairs(family, config, a0, 0, config.runs_per_cell)
     futures = [pool.submit(_run_chunk, a0, *chunk) for chunk in _chunks(config)]
     return [pair for fut in futures for pair in fut.result()]
 

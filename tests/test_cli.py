@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import PlantedFamily, RunOutcome
+from groupsight import PlantedFamily, RunOutcome, harness
 from groupsight.bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from groupsight.cli import RUN_SETTINGS, main
 from groupsight.harness import read_run_log
@@ -166,6 +166,34 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--pfn", "1.5", "p_fn must lie in [0, 1)"),
+            ("--pfn", "1", "p_fn must lie in [0, 1)"),
+            ("--pfn", "-0.1", "p_fn must lie in [0, 1)"),
+            ("--pfn", "nan", "p_fn must lie in [0, 1)"),
+            ("--seed", "-1", "master_seed must be nonnegative"),
+        ],
+        ids=["pfn-above-1", "pfn-1", "pfn-negative", "pfn-nan", "seed-negative"],
+    )
+    def test_bad_pfn_or_seed_rejected_before_any_pair(
+        self, family_file, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the worker pool started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run_cli([
+            "run", "--family", str(family_file), "--a0", "8", "--runs", "5",
+            "--threads", "2", f"{flag}={value}", "-o", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_family_file_is_io_error(self, tmp_path):
         code = run_cli([
             "run", "--family", str(tmp_path / "nope.json"), "--a0", "8",
@@ -307,11 +335,13 @@ class TestRunSettings:
     def test_unknown_key_exits_2_naming_its_line(self, family_file, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "out"
-        cfg.write_text(f"family = {family_file}\na0 = 8\n\nrusn = 10\nout = {out}\n")
-        capsys.readouterr()
-        assert run_cli(["run", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:4: unknown key 'rusn'\n"
-        assert not out.exists()
+        for line, error in [("rusn = 10", "unknown key 'rusn'"),
+                            ("a0 = 16  # again", "repeated key 'a0'")]:
+            cfg.write_text(f"family = {family_file}\na0 = 8\n\n{line}\nout = {out}\n")
+            capsys.readouterr()
+            assert run_cli(["run", "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {cfg}:4: {error}\n"
+            assert not out.exists()
 
     def test_unparsable_value_exits_2(self, family_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -44,6 +44,24 @@ from groupsight.harness import (
 from conftest import make_family
 
 
+class InlinePool:
+    """A worker pool that runs every chunk here, starting no process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        harness._init_worker(None, None)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def fake_run(algorithm, outcome, positives, negatives, a0=8, found=None):
     return RunResult(
         algorithm=algorithm,
@@ -188,15 +206,24 @@ class TestRunPair:
         return sizes
 
     def test_checks_both_samplers_configs(self):
+        # Alone, as a cell in process and as a pool's chunks alike.
         fam = make_family(16, [{0, 1}])
-        cfg = ExperimentConfig(a0_grid=(8,), runs_per_cell=1)
-        with pytest.raises(ValidationError, match="k_max <= a0"):
-            run_pair(fam, cfg, 3, 0)
-        # The deterministic sampler accepts a0 = k_max; the stochastic one does not.
-        with pytest.raises(ValidationError, match="k_max < a0"):
-            run_pair(fam, cfg, 4, 0)
-        with pytest.raises(ValidationError, match="t_max"):
-            run_pair(fam, dataclasses.replace(cfg, t_max=0), 8, 0)
+        cfg = ExperimentConfig(a0_grid=(8,), runs_per_cell=3)
+
+        def in_pool(config, a0):
+            with InlinePool(1, harness._init_worker, (fam, config)) as pool:
+                return harness.run_cell(fam, config, a0, pool)
+
+        for run in (lambda config, a0: run_pair(fam, config, a0, 0),
+                    lambda config, a0: harness.run_cell(fam, config, a0),
+                    in_pool):
+            with pytest.raises(ValidationError, match="k_max <= a0"):
+                run(cfg, 3)
+            # The deterministic sampler accepts a0 = k_max; the stochastic one does not.
+            with pytest.raises(ValidationError, match="k_max < a0"):
+                run(cfg, 4)
+            with pytest.raises(ValidationError, match="t_max"):
+                run(dataclasses.replace(cfg, t_max=0), 8)
 
     def test_alone_equals_its_place_in_a_cell_or_chunk(self):
         # A cell derives its pairs' stream keys in one pass and reuses four
@@ -212,10 +239,6 @@ class TestRunPair:
             assert harness._run_chunk(16, 5, 9) == alone[5:9]
         finally:
             harness._init_worker(None, None)
-        streams = harness.PairStreams(cfg.master_seed, 16, 5, 9)
-        for a0, j in [(16, 4), (16, 9), (32, 5)]:
-            with pytest.raises(ValueError, match="is not one of these streams' pairs"):
-                run_pair(fam, cfg, a0, j, streams)
 
     def test_unique_minimal_set_forces_identical_finds(self):
         fam = make_family(16, [{0, 1}])
@@ -348,31 +371,20 @@ class TestExperimentOutputs:
         (4, 5000, 80, 4),   # capped at the usable CPUs
         (64, 5000, 3, 3),   # capped at a cell's chunks, one pair each
         (64, 6, 80, 6),     # as asked
+        (64, 2, 7, 2),      # seven chunks of one pair
+        (64, 2, 11, 2),     # five chunks of two pairs, then one of one
     ])
     def test_pool_never_outgrows_the_cpus_or_the_chunks(
         self, family, config, monkeypatch, cpus, threads, runs, workers
     ):
         asked = []
 
-        class InlinePool:
-            """Records the pool size and runs every chunk here, starting no process."""
-
+        class RecordingPool(InlinePool):
             def __init__(self, max_workers, initializer, initargs):
                 asked.append(max_workers)
-                initializer(*initargs)
+                super().__init__(max_workers, initializer, initargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                harness._init_worker(None, None)
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         config = dataclasses.replace(config, runs_per_cell=runs)
         pooled = run_experiment(family, dataclasses.replace(config, threads=threads))
