@@ -163,13 +163,14 @@ class PlantedFamily:
         if repeated:
             raise _not_antichain(min(repeated)[1])
         sizes = list(tiers)
-        smaller = {k: _SizeKeys(tiers[k][1]) for k in sizes[:-1]}
+        smaller = _Smaller(n)
         nesting: list[tuple[int, KSet]] = []
-        for k in sizes[1:]:
+        for j, k in zip(sizes, sizes[1:]):
+            smaller.add(*tiers[j])
             rows = tiers[k][0]
             for lo in range(0, len(rows), _CHUNK):
                 chunk = rows[lo:lo + _CHUNK]
-                hit = np.flatnonzero(_nested(chunk, smaller, n))
+                hit = np.flatnonzero(_nested(chunk, smaller))
                 if hit.size:
                     pick = np.flatnonzero(store.sizes == k)[lo:lo + _CHUNK]
                     nesting.append(_first(store.order.take(pick), chunk, hit))
@@ -258,7 +259,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 class _SizeKeys:
-    """The sorted `_set_keys` of the planted sets of one size.
+    """The sorted `_set_keys` of the planted sets of one size, or of the
+    head pairs of planted sets (see `_Smaller`).
 
     `holds` answers membership for a whole array of keys. Int64 keys also
     set bits in a bitmap indexed by a multiplicative hash (Knuth, TAOCP 3,
@@ -284,34 +286,77 @@ class _SizeKeys:
     def _slots(self, keys: np.ndarray) -> np.ndarray:
         return (keys.view(np.uint64) * _GOLDEN) >> self.shift
 
-    def _search(self, queries: np.ndarray) -> np.ndarray:
-        return self.keys.take(np.searchsorted(self.keys, queries), mode="clip") == queries
-
     def holds(self, queries: np.ndarray) -> np.ndarray:
         """Mask of the keys in `queries` that are among `keys`."""
         if self.bitmap is None:
-            return self._search(queries)
+            return _among(self.keys, queries)
         found = self.bitmap[self._slots(queries)]
         maybe = np.nonzero(found)
-        found[maybe] = self._search(queries[maybe])
+        found[maybe] = _among(self.keys, queries[maybe])
         return found
 
 
-def _nested(
-    rows: np.ndarray, smaller: Mapping[int, _SizeKeys], universe_size: int
-) -> np.ndarray:
+def _among(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the `queries` that are among the sorted `keys`."""
+    if not len(keys):
+        return np.zeros(queries.shape, dtype=bool)
+    return keys.take(keys.searchsorted(queries), mode="clip") == queries
+
+
+class _Smaller:
+    """The planted sets below the size of the rows `_nested` tests.
+
+    `tiers` maps each size to a `_SizeKeys` of its sets' keys, and
+    `heads` holds the keys of their head pairs (a set's two smallest
+    members), all sizes in one `_SizeKeys`. A size-2 set is its own head
+    pair.
+    """
+
+    __slots__ = ("universe_size", "tiers", "heads")
+
+    def __init__(self, universe_size: int):
+        self.universe_size = universe_size
+        self.tiers: dict[int, _SizeKeys] = {}
+        self.heads: _SizeKeys | None = None
+
+    def add(self, rows: np.ndarray, keys: np.ndarray) -> None:
+        """Add the distinct ascending `rows` of one size; `keys` are their
+        `_set_keys`, sorted."""
+        self.tiers[rows.shape[1]] = _SizeKeys(keys)
+        pairs = _set_keys(rows[:, :2], self.universe_size)
+        if self.heads is not None:
+            pairs = np.concatenate((self.heads.keys, pairs))
+        pairs.sort()
+        self.heads = _SizeKeys(pairs[_heads(pairs)])
+
+
+def _nested(rows: np.ndarray, smaller: _Smaller) -> np.ndarray:
     """Mask of the ascending `rows` that contain a set of `smaller`.
 
-    `smaller` maps a size j to the keys of the sets of that size; sizes
-    not below the rows' width are skipped. Each size keys every j-column
-    combination of every row at once and looks them all up together.
+    Every set of `smaller` is smaller than the rows. A row can contain a
+    set only if it contains the set's head pair, so the keys of each
+    row's C(k, 2) pairs are looked up among `smaller.heads` first; when
+    every set of `smaller` is a pair, a hit is the answer. Otherwise only
+    the rows with a hit are tested size by size: size 2 looks up the same
+    pair keys, and each larger size j keys every j-column combination of
+    those rows at once and looks them all up together.
     """
+    if not smaller.tiers:
+        return np.zeros(len(rows), dtype=bool)
     k = rows.shape[1]
-    hit = np.zeros(len(rows), dtype=bool)
-    for j, tier in smaller.items():
-        if j < k:
-            subsets = _set_keys(rows[:, _combinations(k, j)], universe_size)
-            hit |= tier.holds(subsets).any(axis=1)
+    n = smaller.universe_size
+    pairs = _set_keys(rows[:, _combinations(k, 2)], n)
+    hit = smaller.heads.holds(pairs).any(axis=1)
+    if list(smaller.tiers) == [2]:
+        # Every head pair is a set.
+        return hit
+    maybe = np.flatnonzero(hit)
+    rows, pairs = rows.take(maybe, axis=0), pairs.take(maybe, axis=0)
+    found = np.zeros(len(maybe), dtype=bool)
+    for j, tier in smaller.tiers.items():
+        subsets = pairs if j == 2 else _set_keys(rows[:, _combinations(k, j)], n)
+        found |= tier.holds(subsets).any(axis=1)
+    hit[maybe] = found
     return hit
 
 
@@ -321,19 +366,42 @@ def _combinations(k: int, j: int) -> np.ndarray:
     return np.array(list(combinations(range(k), j)), dtype=np.intp)
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct `keys` in ascending order, and where each one occurs.
-
-    The keys of `np.unique(keys, return_index=True)`, from one unstable
-    sort: an index may name any occurrence of its key, not the first,
-    which for `_set_keys` names an equal row.
-    """
-    order = np.argsort(keys)
-    ordered = keys.take(order)
+def _heads(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal keys in sorted `ordered`."""
     heads = np.ones(len(ordered), dtype=bool)
     # The operator, not the ufunc: only it compares void keys.
     heads[1:] = ordered[1:] != ordered[:-1]
-    return ordered[heads], order[heads]
+    return heads
+
+
+def _merged(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The sorted distinct `keys` with each of the `new` keys, none among
+    them, added once; `new` is sorted in place.
+
+    The merge is what `np.insert` returns, without the cost of its first
+    call in a process, which shows in the set-up time of a small family.
+    """
+    new.sort()
+    new = new[_heads(new)]
+    merged = np.empty(len(keys) + len(new), dtype=keys.dtype)
+    spots = keys.searchsorted(new) + np.arange(len(new))
+    merged[spots] = new
+    rest = np.ones(len(merged), dtype=bool)
+    rest[spots] = False
+    merged[rest] = keys
+    return merged
+
+
+def _rows_of_keys(keys: np.ndarray, universe_size: int, k: int, dtype) -> np.ndarray:
+    """The ascending width-k rows, as `dtype`, whose `_set_keys` are `keys`."""
+    if keys.dtype != np.int64:
+        digit = np.min_scalar_type(universe_size - 1).newbyteorder(">")
+        return keys.view(digit).reshape(len(keys), k).astype(dtype)
+    rows = np.empty((len(keys), k), dtype=dtype)
+    for c in range(k - 1, 0, -1):
+        keys, rows[:, c] = np.divmod(keys, universe_size)
+    rows[:, 0] = keys
+    return rows
 
 
 def _first(
@@ -453,6 +521,16 @@ def _draw_sets(
     return rows
 
 
+def _candidate_keys(
+    rng: np.random.Generator, k: int, count: int, smaller: _Smaller
+) -> np.ndarray:
+    """The keys of `count` drawn candidates of size k that nest no set of
+    `smaller`, repeats included."""
+    n = smaller.universe_size
+    rows = _draw_sets(rng, n, k, count)
+    return _set_keys(rows[~_nested(rows, smaller)], n)
+
+
 def generate_family(
     universe_size: int,
     counts_by_k: Mapping[int, int],
@@ -467,11 +545,17 @@ def generate_family(
     containing an accepted smaller set; equal-size sets can never nest.
     Candidates violating either are discarded and redrawn. Deterministic
     given the seed. Each batch of candidates is tested for (b) at once on
-    set keys (`_nested`, the rule `validate_antichain` applies), and (a)
-    counts the tier's distinct keys; a tier keeps one row of each key, in
-    key order (`_distinct`), so the order inside a batch does not change
-    what it keeps. The family is built from the tiers' rows, with no tuple
-    per set: `planted` is made when first read.
+    set keys (`_nested`, the rule `validate_antichain` applies: only rows
+    holding the head pair of a smaller set get the full subset check).
+    For (a), a tier counts its distinct keys only once fewer than
+    `_CHUNK` sets are missing even if no kept row repeats another: until
+    then every batch has `_CHUNK` rows, or what the budget allows,
+    whatever the count. It then sorts the keys kept so far in place,
+    drops the repeats, and merges the new keys of each later batch into
+    that sorted array (`searchsorted`). A tier's rows are decoded from its
+    sorted distinct keys (`_rows_of_keys`), which is the tuple order.
+    The family is built from the tiers' rows, with no tuple per set:
+    `planted` is made when first read.
 
     Each candidate is the sorted `rng.choice(universe_size, k,
     replace=False)`, but a tier draws up to `_CHUNK` candidates from one
@@ -507,39 +591,45 @@ def generate_family(
     rng = spawn_generator(seed, ROLE_FAMILY)
     column = np.min_scalar_type(universe_size)
     tiers: list[np.ndarray] = []
-    # The keys of each finished tier; all are smaller than k.
-    smaller: dict[int, _SizeKeys] = {}
+    # The finished tiers, all smaller than k.
+    smaller = _Smaller(universe_size)
     sizes = sorted(counts)
     for k in sizes:
         target = counts[k]
-        # The rows kept and their keys, repeats included; `distinct` counts
-        # the distinct keys.
-        kept: list[np.ndarray] = []
-        kept_keys: list[np.ndarray] = []
-        distinct: set[int | bytes] = set()
-        budget = attempts_per_set * max(target, 1)
-        while len(distinct) < target:
+        budget = attempts_per_set * target
+        # The keys kept before the count starts, repeats included; the
+        # empty first one gives `concatenate` the key type.
+        found = [_set_keys(np.empty((0, k), column), universe_size)]
+        kept = 0
+        # A full batch cannot overshoot while `_CHUNK` sets would be missing
+        # even if no kept key repeated, so until then nothing is counted.
+        while target - kept >= _CHUNK and budget > 0:
+            batch = min(budget, _CHUNK)
+            budget -= batch
+            found.append(_candidate_keys(rng, k, batch, smaller))
+            kept += len(found[-1])
+        # The tier's distinct keys, sorted.
+        keys = np.concatenate(found)
+        del found
+        keys.sort()
+        keys = keys[_heads(keys)]
+        while len(keys) < target:
             if budget <= 0:
                 raise InfeasibleCountsError(
                     f"retry budget exhausted generating size-{k} sets "
-                    f"({len(distinct)}/{target} placed)"
+                    f"({len(keys)}/{target} placed)"
                 )
-            batch = min(target - len(distinct), budget, _CHUNK)
+            batch = min(target - len(keys), budget, _CHUNK)
             budget -= batch
-            rows = _draw_sets(rng, universe_size, k, batch)
-            rows = rows[~_nested(rows, smaller, universe_size)]
-            keys = _set_keys(rows, universe_size)
-            distinct.update(keys.tolist())
-            kept.append(rows.astype(column))
-            kept_keys.append(keys)
-        del distinct
-        # Sorting by key is sorting the rows as tuples.
-        keys, at = _distinct(np.concatenate(kept_keys))
-        tiers.append(np.concatenate(kept)[at])
+            new = _candidate_keys(rng, k, batch, smaller)
+            absent = ~_among(keys, new)
+            if absent.any():
+                keys = _merged(keys, new[absent])
+        tiers.append(_rows_of_keys(keys, universe_size, k, column))
         if k != sizes[-1]:
-            smaller[k] = _SizeKeys(keys)
+            smaller.add(tiers[-1], keys)
         # Not kept beside the row store built below, where the peak RSS is.
-        del kept, kept_keys, keys, at
+        del keys
     flat = np.concatenate([np.empty(0, column), *(rows.ravel() for rows in tiers)])
     set_sizes = np.repeat(
         np.array([rows.shape[1] for rows in tiers], dtype=np.intp),

@@ -10,6 +10,7 @@ import json
 import pickle
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsight import InfeasibleCountsError, PlantedFamily, ValidationError, generate_family
-from groupsight.oracle import _CHUNK, _SizeKeys, _distinct, _draw_sets, _set_keys
+from groupsight import oracle
+from groupsight.oracle import (
+    _CHUNK, _SizeKeys, _Smaller, _draw_sets, _nested, _rows_of_keys, _set_keys,
+)
 from groupsight.rng import ROLE_FAMILY, spawn_generator
 
 
@@ -191,6 +195,28 @@ class TestGenerationMatchesReference:
 
         assert outcome(ours) == outcome(reference)
 
+    # A tier counts its distinct sets only once fewer than `_CHUNK` are
+    # missing; targets of at most 60 never reach the uncounted batches at
+    # the real `_CHUNK`, so these smaller ones run both kinds of batch.
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=5, max_value=40),
+        counts=st.dictionaries(st.integers(2, 5), st.integers(0, 60), max_size=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_family_or_same_error_in_small_batches(self, chunk, n, counts, seed):
+        counts = {k: min(c, comb(n, k)) for k, c in counts.items()}
+
+        def ours():
+            with patch.object(oracle, "_CHUNK", chunk):
+                return generate_family(n, counts, seed, attempts_per_set=20).planted
+
+        def reference():
+            return reference_generate(n, counts, seed, attempts_per_set=20)
+
+        assert outcome(ours) == outcome(reference)
+
 
 # Each side of the int64 key limit, for the largest size below the top
 # one (the widest key that generation looks up) and for the top size
@@ -232,6 +258,20 @@ class TestKeyWidth:
         assert [tuples[i] for i in np.argsort(keys, kind="stable")] == sorted(tuples)
         equal = keys[:, None] == keys[None, :]
         assert (equal == (rows[:, None, :] == rows[None, :, :]).all(axis=2)).all()
+
+    @pytest.mark.parametrize(
+        "universe_size, width",
+        [(2**21, 3), (2**21 + 1, 3), (1000, 6), (1000, 7), (256, 4), (2**32 + 5, 2)],
+    )
+    def test_rows_of_keys_invert_the_keys(self, universe_size, width):
+        rng = np.random.default_rng(universe_size + width)
+        rows = np.sort(rng.integers(0, universe_size, size=(300, width)), axis=1)
+        rows[:3] = np.arange(universe_size - width, universe_size)
+        rows[3] = np.arange(width)
+        column = np.min_scalar_type(universe_size)
+        back = _rows_of_keys(_set_keys(rows, universe_size), universe_size, width, column)
+        assert back.dtype == column
+        assert np.array_equal(back, rows)
 
     @pytest.mark.parametrize("universe_size, counts", EDGE_FAMILIES)
     def test_generation_matches_reference(self, universe_size, counts):
@@ -311,24 +351,72 @@ class TestSizeKeys:
             assert np.array_equal(tier.holds(q), np.isin(q, keys[:300]))
 
 
-class TestDistinct:
-    """`_distinct` keys as `np.unique` does, and picks an equal row."""
+def smaller_of(universe_size, sets):
+    """`_Smaller` of the canonical `sets`, one size after another."""
+    smaller = _Smaller(universe_size)
+    for j in sorted(set(map(len, sets))):
+        rows = np.array(sorted({s for s in sets if len(s) == j}), dtype=np.int64)
+        smaller.add(rows, np.sort(_set_keys(rows, universe_size)))
+    return smaller
 
-    @pytest.mark.parametrize("universe_size, width", [(1000, 3), (1000, 7)],
-                             ids=["int64", "void"])
-    def test_same_keys_and_rows_as_unique(self, universe_size, width):
-        rng = np.random.default_rng(width)
-        rows = np.sort(rng.integers(0, universe_size, size=(2000, width)), axis=1)
-        # Repeats: runs of one row, and rows copied to scattered places.
-        rows[100:130] = rows[99]
-        rows[rng.integers(0, 2000, 300)] = rows[rng.integers(0, 2000, 300)]
-        keys = _set_keys(rows, universe_size)
-        ours, at = _distinct(keys)
-        expected, first = np.unique(keys, return_index=True)
-        assert len(expected) < 1800
-        assert ours.dtype == keys.dtype
-        assert np.array_equal(ours, expected)
-        assert np.array_equal(rows[at], rows[first])
+
+def batch_of_rows(rng, pool, k, sets, count):
+    """`count` random ascending width-k rows over `pool`, and one superset
+    of each of 40 of `sets`."""
+    rows = [sorted(rng.choice(pool, k, replace=False).tolist()) for _ in range(count)]
+    for i in rng.integers(0, len(sets), 40).tolist():
+        rest = [v for v in pool if v not in sets[i]]
+        extra = rng.choice(rest, k - len(sets[i]), replace=False).tolist()
+        rows.append(sorted(sets[i] + tuple(extra)))
+    return np.array(rows, dtype=np.int64)
+
+
+class TestHeadPairFilter:
+    """`_nested` answers as `nests` does, whether or not its head-pair
+    lookup turns a row away."""
+
+    @staticmethod
+    def assert_nested_as_reference(universe_size, sets, rows):
+        expected = [nests(tuple(r), set(sets), set(map(len, sets))) for r in rows.tolist()]
+        assert any(expected) and not all(expected)
+        smaller = smaller_of(universe_size, sets)
+        for part in (rows, rows[:1], rows[:0]):
+            assert _nested(part, smaller).tolist() == expected[:len(part)]
+
+    @pytest.mark.parametrize("universe_size, counts, k", [
+        (12, {2: 12, 3: 40}, 4), (20, {2: 10, 3: 120, 4: 100}, 5),
+    ])
+    def test_dense_family_where_most_pairs_are_head_pairs(self, universe_size, counts, k):
+        sets = generate_family(universe_size, counts, seed=3).planted
+        smaller = smaller_of(universe_size, sets)
+        pairs = _set_keys(np.array(list(combinations(range(universe_size), 2))), universe_size)
+        assert smaller.heads.holds(pairs).mean() > 0.5
+        rows = batch_of_rows(np.random.default_rng(k), range(universe_size), k, sets, 300)
+        self.assert_nested_as_reference(universe_size, sets, rows)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_only_pairs_below(self, k):
+        sets = generate_family(30, {2: 60}, seed=4).planted
+        rows = batch_of_rows(np.random.default_rng(k), range(30), k, sets, 300)
+        self.assert_nested_as_reference(30, sets, rows)
+
+    def test_void_pair_keys(self):
+        n = 2**32 + 5
+        pool = [*range(8), *range(n - 8, n)]
+        rng = np.random.default_rng(6)
+        sets = sorted({tuple(sorted(rng.choice(pool, j, replace=False).tolist()))
+                       for j in (2, 2, 3) for _ in range(8)})
+        assert _set_keys(np.array([[0, n - 1]]), n).dtype.type is np.void
+        rows = batch_of_rows(rng, pool, 4, sets, 200)
+        self.assert_nested_as_reference(n, sets, rows)
+
+    @pytest.mark.parametrize("universe_size, counts", EDGE_FAMILIES)
+    def test_wide_keys_of_the_edge_families(self, universe_size, counts):
+        top = max(counts)
+        planted = generate_family(universe_size, counts, seed=7).planted
+        sets = [p for p in planted if len(p) < top]
+        rows = batch_of_rows(np.random.default_rng(top), range(universe_size), top, sets, 200)
+        self.assert_nested_as_reference(universe_size, sets, rows)
 
 
 class TestCompleteTiers:

@@ -27,8 +27,10 @@ SUMMARY_SHA256 = "dea708b3e4ec844d5f457fd08af93fee4d560af56b16dfdc2041c96e10bbf8
 K6_RUNS_SHA256 = "16ed455c5dbcfa05b3cfb23efcb352bf9b0016dca9382bfeb5ebd93c6883e3ff"
 K6_SUMMARY_SHA256 = "eb77510ebffc14de76b3ecb46550ca10a5c95b923c4e1f54f2c40d5700deaf89"
 
-# `groupsight generate` bytes of the benchmark's 31,200-set family and of a
-# family whose set keys are too wide for int64 (1000**7 > 2**63).
+# `groupsight generate` bytes of the benchmark's 31,200-set family, of a
+# family whose set keys are too wide for int64 (1000**7 > 2**63), and of a
+# tier that draws about 450 repeated sets before it starts counting its
+# distinct ones, fewer than 1,024 short of its target.
 GENERATE_SHA256 = {
     "n1000-k2-k3-k4-k5": (
         ["--n", "1000", "--k2", "400", "--k3", "400", "--k4", "400",
@@ -38,6 +40,10 @@ GENERATE_SHA256 = {
     "n1000-k7-k8": (
         ["--n", "1000", "--k7", "20", "--k8", "20"],
         "fb167301c7acfab3433715a8a61b6ded43c044d054c9123a770227abb9dddd59",
+    ),
+    "n40-k3": (
+        ["--n", "40", "--k3", "4000", "--seed", "2"],
+        "5fee2af5df1a4f383e57c82f3079c11250282594ef56e30efc36cc7bdc513bda",
     ),
 }
 

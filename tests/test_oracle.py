@@ -25,7 +25,7 @@ from groupsight import (
     spawn_generator,
 )
 from groupsight import TestLedger as Ledger
-from groupsight import backend
+from groupsight import backend, oracle
 from groupsight.backend import FamilyIndex
 from groupsight.oracle import _CHUNK, _draw_sets
 from groupsight.rng import ROLE_FAMILY
@@ -36,6 +36,13 @@ from conftest import (
     make_family,
     random_antichain_family,
 )
+
+BUDGET_CASES = [
+    # All pairs over {0,1,2} planted; no 3-set can avoid containing one.
+    pytest.param(3, {2: 3, 3: 1}, dict(seed=0, attempts_per_set=50), "0/1", id="all-pairs"),
+    pytest.param(6, {2: 9, 3: 8}, dict(seed=1), "1/8", id="dense"),
+    pytest.param(8, {2: 20, 3: 12}, dict(seed=4, attempts_per_set=3), "0/12", id="tight-budget"),
+]
 
 
 class TestGenerateFamily:
@@ -79,18 +86,20 @@ class TestGenerateFamily:
         with pytest.raises(InfeasibleCountsError):
             generate_family(4, {2: 7}, seed=0)  # C(4,2) = 6
 
-    @pytest.mark.parametrize(
-        "universe_size, counts, kwargs, placed",
-        [
-            # All pairs over {0,1,2} planted; no 3-set can avoid containing one.
-            (3, {2: 3, 3: 1}, dict(seed=0, attempts_per_set=50), "0/1"),
-            (6, {2: 9, 3: 8}, dict(seed=1), "1/8"),
-            (8, {2: 20, 3: 12}, dict(seed=4, attempts_per_set=3), "0/12"),
-        ],
-        ids=["all-pairs", "dense", "tight-budget"],
-    )
+    @pytest.mark.parametrize("universe_size, counts, kwargs, placed", BUDGET_CASES)
     def test_retry_budget_exhaustion_raises(self, universe_size, counts, kwargs, placed):
         # The placed count pins how many candidates the tier drew and kept.
+        with pytest.raises(InfeasibleCountsError, match=rf"\({placed} placed\)"):
+            generate_family(universe_size, counts, **kwargs)
+
+    # Below `_CHUNK` missing sets a tier counts its distinct sets; these
+    # batch sizes also run the uncounted batches before that.
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    @pytest.mark.parametrize("universe_size, counts, kwargs, placed", BUDGET_CASES)
+    def test_retry_budget_exhaustion_raises_in_small_batches(
+        self, monkeypatch, chunk, universe_size, counts, kwargs, placed
+    ):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
         with pytest.raises(InfeasibleCountsError, match=rf"\({placed} placed\)"):
             generate_family(universe_size, counts, **kwargs)
 
