@@ -158,26 +158,35 @@ def _check_sets(
     """Raise for the first set that is smaller than 2, not strictly
     ascending or out of range, with the first of those checks it fails.
 
-    Set i is flat[ends[i] - sizes[i]:ends[i]].
+    Set i is flat[ends[i] - sizes[i]:ends[i]]. Each check makes one mask
+    in one pass, and only its first offending member is looked up among
+    the sets. A fall flat[p + 1] <= flat[p] lies inside a set exactly
+    when p + 1 starts no set.
     """
 
-    def owner(positions: np.ndarray) -> np.ndarray:
-        return np.searchsorted(ends, positions, side="right")
+    def owner(position: int | None) -> int | None:
+        return None if position is None else int(ends.searchsorted(position, side="right"))
 
-    falls = np.flatnonzero(flat[1:] <= flat[:-1])
-    left, right = owner(falls), owner(falls + 1)
+    heads = np.zeros(len(flat) + 1, dtype=bool)
+    heads[ends - sizes] = True
     checks = (
-        (np.flatnonzero(sizes < 2),
+        (_first_true(sizes < 2),
          InvalidKError, "planted sets must have size >= 2"),
-        (left[left == right],
+        (owner(_first_true((flat[1:] <= flat[:-1]) & ~heads[1:-1])),
          ValidationError, "planted sets must be strictly ascending"),
-        (owner(np.flatnonzero((flat < 0) | (flat >= universe_size))),
+        (owner(_first_true((flat < 0) | (flat >= universe_size))),
          ValidationError, "planted set member out of range"),
     )
-    failed = [(bad[0], rank) for rank, (bad, _, _) in enumerate(checks) if bad.size]
+    failed = [(bad, rank) for rank, (bad, _, _) in enumerate(checks) if bad is not None]
     if failed:
         _, exc, message = checks[min(failed)[1]]
         raise exc(message)
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    """The index of the first true element of `mask`, or None."""
+    i = int(mask.argmax()) if mask.size else 0
+    return i if mask.size and mask[i] else None
 
 
 def _members(planted: Sequence[Sequence[int]], count: int, column) -> np.ndarray:

@@ -11,6 +11,7 @@ positive/negative test ledger.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -148,7 +149,8 @@ class PlantedFamily:
         tiers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # (position in `planted`, set) of the first offender of each size.
         repeated: list[tuple[int, KSet]] = []
-        for k in np.unique(store.sizes).tolist():
+        # Not `np.unique`: its first call in a process imports `numpy.ma`.
+        for k in np.flatnonzero(np.bincount(store.sizes)).tolist():
             pick = np.flatnonzero(store.sizes == k)
             rows = np.column_stack([col.take(pick) for col in store.columns[:k]])
             keys = _set_keys(rows, n)
@@ -204,7 +206,12 @@ class PlantedFamily:
             raise ValidationError("family record 'planted' has a non-integer member")
         if seed is not None and not _is_int(seed):
             raise ValidationError("family record 'seed' is not null or an integer")
-        fam = cls._of_store(backend.FamilyIndex(universe_size, planted), seed)
+        return cls._validated(backend.FamilyIndex(universe_size, planted), seed)
+
+    @classmethod
+    def _validated(cls, store: backend.FamilyIndex, seed: int | None) -> "PlantedFamily":
+        """The family of the sets in `store`, once `validate_antichain` passes."""
+        fam = cls._of_store(store, seed)
         fam.validate_antichain()
         return fam
 
@@ -226,12 +233,147 @@ class PlantedFamily:
 
     @classmethod
     def load(cls, path: str | Path) -> "PlantedFamily":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        """The family in the JSON file at `path`.
+
+        A file in exactly the layout `save` writes is read straight into
+        the row store (`_read_saved`), with no list per set. Any other
+        file goes through `json.loads` and `from_json_dict`, so both paths
+        accept the same files and raise the same errors.
+        """
+        saved = _read_saved(Path(path).read_bytes())
+        if saved is None:
+            return cls.from_json_dict(json.loads(Path(path).read_text()))
+        universe_size, members, sizes, seed = saved
+        return cls._validated(backend.FamilyIndex(universe_size, members, sizes), seed)
 
 
 def _is_int(value) -> bool:
     """An exact integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The file `save` writes, around the sets: every integer in plain decimal
+# of at most 18 digits, which any int64 holds.
+_SAVED_HEAD = re.compile(rb'\{"universe_size": (0|[1-9][0-9]{0,17}), "planted": \[')
+_SAVED_TAIL = re.compile(rb'\], "seed": (null|0|[1-9][0-9]{0,17})\}\n')
+_MAX_DIGITS = 18
+
+# Most bytes of sets `_read_saved` parses at once.
+_SLICE = 1 << 19
+
+# The kind of each byte of the sets: a digit, "[", "]", ",", " " or other.
+_DIGIT, _OPEN, _CLOSE, _COMMA, _SPACE, _OTHER = range(6)
+_KIND = np.full(256, _OTHER, dtype=np.uint8)
+_KIND[np.frombuffer(b"0123456789", np.uint8)] = _DIGIT
+_KIND[np.frombuffer(b"[], ", np.uint8)] = _OPEN, _CLOSE, _COMMA, _SPACE
+# The byte pairs, as `6 * kind + next kind`, that sets joined by ", " hold.
+_PAIRS = np.zeros(36, dtype=bool)
+_PAIRS[[6 * kind + after for kind, after in (
+    (_OPEN, _DIGIT), (_DIGIT, _DIGIT), (_DIGIT, _COMMA), (_DIGIT, _CLOSE),
+    (_COMMA, _SPACE), (_SPACE, _DIGIT), (_SPACE, _OPEN), (_CLOSE, _COMMA),
+)]] = True
+
+
+def _read_saved(data: bytes) -> tuple[int, np.ndarray, np.ndarray, int | None] | None:
+    """(universe_size, members, sizes, seed) of a family file in exactly
+    the layout `save` writes, or None for any other file.
+
+    The layout is `{"universe_size": N, "planted": [`, the sets as
+    `[a, b, ...]` joined by ", ", then `], "seed": S}` and a newline,
+    with S an integer or null; an integer has no sign, leading zero,
+    point or exponent, and at most 18 digits. The sets are checked and
+    parsed `_SLICE` bytes at a time, each slice ending at a set's "]".
+    `members` holds the members of every set one after another, as the
+    store's column type when they all fit it and as int64 otherwise, so
+    that the store's checks name the first out-of-range set, as they do
+    for the lists `json.loads` makes.
+    """
+    head = _SAVED_HEAD.match(data)
+    # No '"' can occur among the sets, so the last match is the tail.
+    end = data.rfind(b'], "seed": ')
+    tail = _SAVED_TAIL.fullmatch(data, end) if head and end >= head.end() else None
+    if tail is None:
+        return None
+    universe_size = int(head[1])
+    lo = head.end()
+    # Exact for bytes in the layout, where the sets hold one member more
+    # than there are commas. Bytes that are not make some slice return
+    # None, and the slices before it fit.
+    members = np.empty(data.count(b",", lo, end) + (lo < end),
+                       dtype=np.min_scalar_type(universe_size))
+    sizes = np.empty(data.count(b"[", lo, end), dtype=np.intp)
+    top = int(np.iinfo(members.dtype).max)
+    at = count = 0
+    while lo < end:
+        hi = end
+        if end - lo > _SLICE:
+            cut = data.rfind(b"], [", lo, lo + _SLICE)
+            if cut < 0:
+                cut = data.find(b"], [", lo + _SLICE, end)
+            if cut >= 0:
+                hi = cut + 1
+        sets = _parse_sets(np.frombuffer(data, np.uint8, hi - lo, lo))
+        if sets is None:
+            return None
+        values, counts = sets
+        if int(values.max()) > top and members.dtype != np.int64:
+            members = members.astype(np.int64)
+        members[at:at + len(values)] = values
+        sizes[count:count + len(counts)] = counts
+        at += len(values)
+        count += len(counts)
+        # Past the ", " that `cut` found before the next set.
+        lo = hi + 2
+    seed = None if tail[1] == b"null" else int(tail[1])
+    return universe_size, members, sizes, seed
+
+
+def _parse_sets(text: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The members, as int64, and the sizes of the sets in `text`, bytes
+    of sets `[a, b, ...]` joined by ", "; None for any other bytes.
+
+    The byte pairs are checked against `_PAIRS`. Every "]" but the last
+    must then be followed by ", [": with the pairs, that makes the
+    brackets alternate and leaves in each set only numbers joined by
+    ", ". Each array is dropped once used: a slice's temporaries can set
+    the peak of a `load`.
+    """
+    # Indexing, not `take`: `take` first copies uint8 indices to intp.
+    kind = _KIND[text]
+    if not (kind[0] == _OPEN and kind[-1] == _CLOSE):
+        return None
+    pairs = kind[:-1] * 6
+    pairs += kind[1:]
+    if not _PAIRS[pairs].all():
+        return None
+    del pairs
+    opens = np.flatnonzero(kind == _OPEN)
+    closes = np.flatnonzero(kind == _CLOSE)
+    if len(opens) != len(closes) or not (opens[1:] == closes[:-1] + 3).all():
+        return None
+    digit = kind == _DIGIT
+    del kind
+    # The text starts and ends with a bracket, so every number has both ends.
+    first = np.flatnonzero(digit[1:] > digit[:-1])
+    first += 1
+    last = np.flatnonzero(digit[:-1] > digit[1:])
+    del digit
+    counts = np.diff(first.searchsorted(opens), append=len(first))
+    zero = text.take(first) == b"0"[0]
+    # Each number's digits after its first, made in place of `first`.
+    more = np.subtract(last, first, out=first)
+    longest = int(more.max())
+    if longest >= _MAX_DIGITS or more.compress(zero).any():
+        return None
+    values = text.take(last).astype(np.int64)
+    values -= b"0"[0]
+    for place in range(1, longest + 1):
+        last -= 1
+        digits = text.take(last, mode="clip")
+        digits -= b"0"[0]
+        digits[more < place] = 0
+        values += digits * np.int64(10**place)
+    return values, counts
 
 
 def _set_keys(rows: np.ndarray, universe_size: int) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import generate_family
+from groupsight import InvalidKError, ValidationError, generate_family
 from groupsight.backend import FamilyIndex
 
 from conftest import brute_truth
@@ -67,6 +68,43 @@ class TestKernelContract:
             for k in range(2, 9):
                 inside = sum(len(p) == k and set(p) <= set(nodes) for p in planted)
                 assert idx.count_contained(nodes, k) == inside
+
+
+def reference_check(universe_size, planted) -> tuple[type, str] | None:
+    """The error the store raises for `planted`, found set by set: the
+    first set that fails a check, and the first check it fails."""
+    for p in planted:
+        if len(p) < 2:
+            return InvalidKError, "planted sets must have size >= 2"
+        if any(b <= a for a, b in zip(p, p[1:])):
+            return ValidationError, "planted sets must be strictly ascending"
+        if any(v < 0 or v >= universe_size for v in p):
+            return ValidationError, "planted set member out of range"
+    return None
+
+
+class TestSetChecks:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_first_failing_set_and_check_match_the_reference(self, data):
+        # Sets, ascending or not, with members a little past either end of
+        # the range: several sets fail, and falls sit inside sets as well as
+        # between them.
+        n = data.draw(st.integers(1, 12))
+        member = st.integers(-2, n + 1)
+        one_set = st.lists(member, max_size=5).map(sorted) | st.lists(member, max_size=5)
+        planted = data.draw(st.lists(one_set, max_size=8))
+        expected = reference_check(n, planted)
+        members = np.array([v for p in planted for v in p], dtype=np.int64)
+        sizes = np.array([len(p) for p in planted], dtype=np.intp)
+        for build in (lambda: FamilyIndex(n, planted),
+                      lambda: FamilyIndex(n, members, sizes)):
+            try:
+                build()
+            except ValidationError as exc:
+                assert (type(exc), str(exc)) == expected
+            else:
+                assert expected is None
 
 
 def test_index_allocates_under_200_bytes_per_set():

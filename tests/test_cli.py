@@ -899,6 +899,33 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # `numpy.ma` costs about 6 ms and 1.4 MB of memory to import; the
+        # first `np.unique` without counts in a process imports it. Each
+        # command runs in a process of its own, which exits 1 if it did.
+        script = (
+            "import sys\n"
+            "from groupsight.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        fam, out = tmp_path / "fam.json", tmp_path / "out"
+        commands = [
+            ["generate", "--n", "60", "--k2", "10", "--k3", "10", "-o", str(fam)],
+            ["run", "--family", str(fam), "--a0", "8,16", "--runs", "5",
+             "--threads", "1", "-o", str(out)],
+            ["stats", "--log", str(out / "runs.jsonl")],
+            ["bounds", "--a0", "16"],
+        ]
+        importing = []
+        for args in commands:
+            proc = subprocess.run([sys.executable, "-c", script, *args],
+                                  capture_output=True, text=True)
+            assert proc.returncode in (0, 1), proc.stderr
+            if proc.returncode:
+                importing.append(args[0])
+        assert importing == []
+
     def test_help_mentions_all_subcommands(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(["--help"])

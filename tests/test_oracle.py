@@ -5,7 +5,11 @@ import json
 import math
 import pickle
 import random
+import re
+import tempfile
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -608,6 +612,215 @@ class TestSerialization:
             make_family(4, [{1, 5}])
         with pytest.raises(InvalidKError):
             PlantedFamily(universe_size=4, planted=((2,),))
+
+
+def _outcome(read) -> tuple:
+    """What `read()` gives: the family and its row store's arrays, or the
+    type and message of the error it raises."""
+    try:
+        fam = read()
+    except Exception as exc:  # every error either path raises is compared
+        return "error", type(exc), str(exc)
+    store = fam.index()
+    arrays = (*store.columns, store.starts, store.sizes, store.order)
+    return ("family", fam.universe_size, fam.seed, fam.planted,
+            [(a.dtype, a.tolist()) for a in arrays])
+
+
+def _read_both_ways(path) -> tuple[tuple, tuple]:
+    """The outcomes of `load` and of `json.loads` + `from_json_dict`."""
+    return (_outcome(lambda: PlantedFamily.load(path)),
+            _outcome(lambda: PlantedFamily.from_json_dict(json.loads(path.read_text()))))
+
+
+# How `family_files` writes a member it replaces, given the member m.
+_MEMBER_TOKENS = {
+    "18-digit member": lambda m: str(10**17 + m),
+    "19-digit member": lambda m: str(10**18 + m),
+    "member above 2**63": lambda m: str(2**63 + m),
+    "leading zero": lambda m: f"0{m}",
+    "minus zero": lambda m: "-0",
+    "float member": lambda m: f"{m}.0",
+    "true member": lambda m: "true",
+}
+# Each change `family_files` makes to the bytes `save` writes, and whether
+# `load` still reads the file straight into the row store. Only a file in
+# that layout, with no integer longer than 18 digits, is read so.
+_FAST_PATH = {
+    "as saved": True,
+    "18-digit member": True,
+    "19-digit member": False,
+    "member above 2**63": False,
+    "leading zero": False,
+    "minus zero": False,
+    "float member": False,
+    "true member": False,
+    "seed above 2**63": False,
+    "universe above 2**63": False,
+    "compact": False,
+    "indented": False,
+    "extra blank": False,
+    "blank in a set": False,
+    "member between sets": False,
+    "member before the sets": False,
+    "member after the sets": False,
+    "unclosed set": False,
+    "empty set": False,
+    "no newline": False,
+    "two newlines": False,
+    "crlf": False,
+    "truncated": False,
+}
+
+
+@st.composite
+def family_files(draw) -> tuple[str, str]:
+    """A change of `_FAST_PATH` and the family file it makes of a random
+    record, which `load` may accept or reject.
+
+    The records hold random sets, ascending or not, with members in the
+    universe or up to a few past it, so the store's checks and antichain
+    validation reject many of them; some are empty or have a null seed.
+    """
+    n = draw(st.integers(0, 30))
+    ascending = draw(st.booleans())
+    top = draw(st.sampled_from([max(n - 1, 0), n + 2]))
+    # Ascending sets are mostly of a valid size, so more records reach
+    # antichain validation.
+    one_set = st.lists(st.integers(0, top), min_size=min(1 + ascending, top + 1),
+                       max_size=5, unique=ascending)
+    planted = draw(st.lists(one_set.map(sorted) if ascending else one_set, max_size=10))
+    seed = draw(st.none() | st.integers(0, 10**18 - 1))
+    change = draw(st.sampled_from(list(_FAST_PATH)))
+    if change == "seed above 2**63":
+        seed = 2**64 + (seed or 0)
+    if change == "universe above 2**63":
+        n += 2**64
+    if change == "blank in a set" and all(len(p) < 2 for p in planted):
+        planted.append([0, 1])
+    while change in ("member between sets", "member before the sets",
+                     "member after the sets", "unclosed set") and len(planted) < 2:
+        planted.append([0, 1])
+    if change == "empty set":
+        planted.insert(draw(st.integers(0, len(planted))), [])
+    record = {"universe_size": n, "planted": planted, "seed": seed}
+    token = None
+    if change in _MEMBER_TOKENS:
+        if not planted:
+            planted.append([0, 1])
+        i = draw(st.integers(0, len(planted) - 1))
+        j = draw(st.integers(0, len(planted[i]) - 1))
+        token = _MEMBER_TOKENS[change](planted[i][j])
+        planted[i][j] = "@"
+    if change == "compact":
+        text = json.dumps(record, separators=(",", ":")) + "\n"
+    elif change == "indented":
+        text = json.dumps(record, indent=1) + "\n"
+    else:
+        text = json.dumps(record) + "\n"
+    if token is not None:
+        text = text.replace('"@"', token)
+    if change == "extra blank":
+        spots = [i + 1 for i, c in enumerate(text) if c in ",[:"]
+        at = draw(st.sampled_from(spots))
+        text = text[:at] + " " + text[at:]
+    elif change == "blank in a set":
+        at = re.search(r"\d, (?=\d)", text).end()
+        text = text[:at] + " " + text[at:]
+    elif change == "member between sets":
+        text = text.replace("], [", "], 7, [", 1)
+    elif change == "member before the sets":
+        text = text.replace('"planted": [[', '"planted": [7, [', 1)
+    elif change == "member after the sets":
+        text = text.replace(']], "seed"', '], 7], "seed"', 1)
+    elif change == "unclosed set":
+        text = text.replace("], [", ", [", 1)
+    elif change == "no newline":
+        text = text[:-1]
+    elif change == "two newlines":
+        text += "\n"
+    elif change == "crlf":
+        text = text[:-1] + "\r\n"
+    elif change == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 2))]
+    return change, text
+
+
+class TestSavedLayoutReader:
+    """`load` reads the bytes `save` writes straight into the row store;
+    every other file goes through `json.loads` and `from_json_dict`."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(file=family_files(), slice_bytes=st.sampled_from([4, 24, 100, oracle._SLICE]))
+    def test_both_paths_accept_and_reject_alike(self, file, slice_bytes):
+        # Small slices make every set, and every defect, cross a slice edge.
+        change, text = file
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(oracle, "_SLICE", slice_bytes):
+            path = Path(tmp) / "fam.json"
+            path.write_bytes(text.encode())
+            fast = oracle._read_saved(path.read_bytes()) is not None
+            assert fast == _FAST_PATH[change]
+            loaded, parsed = _read_both_ways(path)
+            assert loaded == parsed
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PlantedFamily(10, (), seed=None),
+            lambda: make_family(12, [(0, 1), (2, 3, 4)], seed=10**18 - 1),
+            # Members that need 32-bit columns.
+            lambda: generate_family(70_000, {2: 50, 3: 50}, seed=1),
+            # Set keys too wide for int64.
+            lambda: generate_family(1000, {7: 20, 8: 20}, seed=0),
+            # About 0.75 MB of sets, more than one slice.
+            lambda: generate_family(1000, {2: 40, 5: 30_000}, seed=5),
+        ],
+        ids=["empty", "big-seed", "32-bit-columns", "wide-keys", "two-slices"],
+    )
+    def test_saved_files_take_the_fast_path(self, tmp_path, monkeypatch, make):
+        path = tmp_path / "fam.json"
+        make().save(path)
+        assert oracle._read_saved(path.read_bytes()) is not None
+        loaded, parsed = _read_both_ways(path)
+        assert loaded == parsed and loaded[0] == "family"
+        # No list per set: `json` is not called.
+        monkeypatch.setattr(oracle.json, "loads", None)
+        assert _outcome(lambda: PlantedFamily.load(path)) == loaded
+
+    def test_fast_path_builds_and_validates_through_live_names(self, tmp_path, monkeypatch):
+        # A store class or validation put in place at run time (a timed one,
+        # say) is the one `load` uses.
+        path = tmp_path / "fam.json"
+        generate_family(30, {2: 5, 3: 5}, seed=1).save(path)
+        calls = []
+
+        class Store(backend.FamilyIndex):
+            def __init__(self, *args):
+                calls.append("store")
+                super().__init__(*args)
+
+        validate = PlantedFamily.validate_antichain
+        monkeypatch.setattr(backend, "FamilyIndex", Store)
+        monkeypatch.setattr(PlantedFamily, "validate_antichain",
+                            lambda fam: calls.append("validate") or validate(fam))
+        assert type(PlantedFamily.load(path).index()) is Store
+        assert calls == ["store", "validate"]
+
+    def test_out_of_range_member_of_a_later_slice(self, tmp_path, monkeypatch):
+        # Members parsed before the slice that holds a member too large for
+        # the store's column type are widened, and the store names the
+        # first offending set.
+        monkeypatch.setattr(oracle, "_SLICE", 8)
+        path = tmp_path / "fam.json"
+        path.write_text('{"universe_size": 10, "planted": [[0, 1], [2, 3], '
+                        '[4, 300], [5, 6, 100000000000000000]], "seed": 7}\n')
+        members = oracle._read_saved(path.read_bytes())[1]
+        assert members.dtype == np.int64
+        assert members.tolist() == [0, 1, 2, 3, 4, 300, 5, 6, 10**17]
+        loaded, parsed = _read_both_ways(path)
+        assert loaded == parsed == (
+            "error", ValidationError, "planted set member out of range")
 
 
 class TestFamilyChecks:
