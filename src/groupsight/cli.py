@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -27,7 +28,7 @@ from .harness import (
     write_run_log,
     write_summary_csv,
 )
-from .oracle import PlantedFamily, _is_int, generate_family
+from .oracle import PlantedFamily, generate_family
 from .rc import build_schedule
 
 EXIT_VALIDATION = 2
@@ -158,11 +159,15 @@ def _resolved_run_settings(args) -> tuple[dict[str, object], ExperimentConfig]:
             raise ValidationError(f"--{key} is required (flag or config file)")
     values.setdefault("runs", 1000)
     values.setdefault("label", Path(values["family"]).stem)
-    config = ExperimentConfig(**{
+    return values, _experiment(values)
+
+
+def _experiment(values: dict[str, object]) -> ExperimentConfig:
+    """The experiment of `run` settings keyed as in RUN_SETTINGS."""
+    return ExperimentConfig(**{
         setting.field: values[key]
         for key, setting in RUN_SETTINGS.items() if setting.field and key in values
     })
-    return values, config
 
 
 def cmd_run(args) -> int:
@@ -206,11 +211,24 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _logged_run(log: str | Path) -> tuple[
-    tuple[int, int, int], tuple[tuple[int, ...], int], tuple[float, ...], str
-] | None:
-    """(k_min, k_max, t_max), (a0 grid, pairs per cell), cost ratios and
-    label of the `config.json` beside a run log, if any."""
+def _logged_value(echo: dict, key: str) -> object:
+    """The value of `key` in a `config.json` record, as `run` writes it:
+    what the flag parser of `key` yields, as JSON. A JSON integer passes
+    where `run` writes a float."""
+    if key not in echo:
+        raise ValueError(f"has no {key!r}")
+    value = echo[key]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    parsed = _parse_setting(key, text, repr(key))
+    if parsed != (tuple(value) if isinstance(value, list) else value):
+        raise ValueError(f"{key!r} holds {json.dumps(value)}, which run does not write")
+    return parsed
+
+
+def _logged_run(log: str | Path) -> ExperimentConfig | None:
+    """The experiment of the `config.json` beside a run log, if any, read
+    and checked with `run`'s rules. The family's size is not known here,
+    so no a0 is too large for it."""
     path = Path(log).parent / "config.json"
     if not path.exists():
         return None
@@ -218,37 +236,24 @@ def _logged_run(log: str | Path) -> tuple[
         echo = json.loads(path.read_text())
         if not isinstance(echo, dict):
             raise ValueError("not a JSON object")
-        bounds = tuple(echo.get(key) for key in ("kmin", "kmax", "tmax"))
-        k_min, k_max, t_max = bounds
-        if not (all(map(_is_int, bounds)) and 2 <= k_min <= k_max and t_max >= 1):
-            raise ValueError("kmin, kmax and tmax must be integers "
-                             "with 2 <= kmin <= kmax and tmax >= 1")
-        a0, runs = echo.get("a0"), echo.get("runs")
-        if not (isinstance(a0, list) and a0 and all(map(_is_int, a0))
-                and _is_int(runs) and runs >= 1):
-            raise ValueError("a0 must be a nonempty list of integers and runs "
-                             "a positive integer")
-        rho, label = echo.get("rho"), echo.get("label")
-        if not (isinstance(rho, list) and all(type(r) in (int, float) for r in rho)):
-            raise ValueError("rho must be a list of numbers")
-        rhos = tuple(map(float, rho))
-        check_rhos(rhos)
-        if not isinstance(label, str):
-            raise ValueError("label must be a string")
+        config = _experiment({
+            key: _logged_value(echo, key) for key in RUN_SETTINGS if key != "out"
+        })
+        config.validate(math.inf)
     except (OverflowError, ValueError) as exc:  # JSONDecodeError and ValidationError too
         raise ValidationError(f"{path}: {exc}") from exc
-    return bounds, (tuple(a0), runs), rhos, label
+    return config
 
 
 def cmd_stats(args) -> int:
-    logged = _logged_run(args.log)
-    bounds, layout, rhos, label = logged or (
-        None, None, ExperimentConfig.rhos, ExperimentConfig.label)
+    config = _logged_run(args.log)
+    run = config or ExperimentConfig  # without a config.json, the defaults
+    rhos = run.rhos
     if args.rho is not None:
         rhos = _parse_setting("rho", args.rho, "--rho")
         check_rhos(rhos)
-    label = label if args.label is None else args.label
-    grid, cells = read_run_log(args.log, bounds, layout)
+    label = run.label if args.label is None else args.label
+    grid, cells = read_run_log(args.log, config)
     summaries = []
     for a0 in grid:
         summaries.extend(summarize_cell(a0, cells[a0], rhos, label))

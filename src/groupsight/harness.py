@@ -31,9 +31,9 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -430,46 +430,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _columns(
+    rhos: Sequence[float], k_top: int
+) -> list[tuple[str, Callable[[CellSummary], object]]]:
+    """Each summary CSV column's name and its value in a summary, in order,
+    with found-size proportions p2..p{k_top}."""
+    def fields(*pairs):
+        return [(name, attrgetter(field)) for name, field in pairs]
+
+    return [
+        *fields(("algorithm", "algorithm"), ("a0", "a0"), ("T_label", "label"),
+                ("finds", "finds"), ("init_fail_rate", "init_fail_rate"),
+                ("abort_rate", "abort_rate"), ("med_pos", "med_pos"),
+                ("med_neg", "med_neg"), ("med_total", "med_total")),
+        *((f"p{k}", lambda s, k=k: s.k_proportions.get(k)) for k in range(2, k_top + 1)),
+        *fields(("prop_identical", "prop_identical")),
+        # See check_rhos.
+        *((f"cost_r{rho:g}", lambda s, rho=float(rho): s.costs.get(rho)) for rho in rhos),
+        *fields(("U", "u_total"), ("p_value", "p_total"), ("U_pos", "u_pos"),
+                ("p_value_pos", "p_pos"), ("U_neg", "u_neg"), ("p_value_neg", "p_neg")),
+    ]
+
+
 def csv_header(rhos: Sequence[float] = DEFAULT_RHOS, k_top: int = 4) -> list[str]:
     """Summary CSV columns, with found-size proportions p2..p{k_top}."""
-    cols = [
-        "algorithm", "a0", "T_label", "finds", "init_fail_rate", "abort_rate",
-        "med_pos", "med_neg", "med_total",
-    ]
-    cols.extend(f"p{k}" for k in range(2, k_top + 1))
-    cols.append("prop_identical")
-    cols.extend(f"cost_r{rho:g}" for rho in rhos)  # see check_rhos
-    cols.extend(["U", "p_value", "U_pos", "p_value_pos", "U_neg", "p_value_neg"])
-    return cols
-
-
-def summary_row(
-    summary: CellSummary, rhos: Sequence[float], k_top: int = 4
-) -> list[str]:
-    row = [
-        summary.algorithm,
-        str(summary.a0),
-        summary.label,
-        str(summary.finds),
-        _fmt(summary.init_fail_rate),
-        _fmt(summary.abort_rate),
-        _fmt(summary.med_pos),
-        _fmt(summary.med_neg),
-        _fmt(summary.med_total),
-    ]
-    row.extend(_fmt(summary.k_proportions.get(k)) for k in range(2, k_top + 1))
-    row.append(_fmt(summary.prop_identical))
-    for rho in rhos:
-        row.append(_fmt(summary.costs.get(float(rho))))
-    row.extend(
-        _fmt(v)
-        for v in (
-            summary.u_total, summary.p_total,
-            summary.u_pos, summary.p_pos,
-            summary.u_neg, summary.p_neg,
-        )
-    )
-    return row
+    return [name for name, _ in _columns(rhos, k_top)]
 
 
 def write_summary_csv(
@@ -479,9 +464,10 @@ def write_summary_csv(
 ) -> None:
     """Header and one CSV-quoted row per summary; size columns reach the largest find."""
     k_top = max([4, *(k for s in summaries for k in s.k_proportions)])
+    columns = _columns(rhos, k_top)
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(csv_header(rhos, k_top))
-    writer.writerows(summary_row(summary, rhos, k_top) for summary in summaries)
+    writer.writerow(name for name, _ in columns)
+    writer.writerows([_fmt(value(summary)) for _, value in columns] for summary in summaries)
 
 
 # The outcomes each sampler can produce; a run record must carry one of them.
@@ -554,49 +540,38 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     return rec["a0"], rec["seed"], res
 
 
-def check_bounds(res: RunResult, k_min: int, k_max: int, t_max: int) -> None:
-    """Raise ValueError unless `res` fits a run with this window and budget.
+def check_bounds(res: RunResult, config: ExperimentConfig) -> None:
+    """Raise ValueError unless `res` fits a run of `config`'s window and budget.
 
     A found set must have k_min..k_max members, the tests charged must
     not exceed the sampler's worst case in `bounds`, nor an rc run's
     positive tests its worst case, and an rc run can only abort at a step
-    of its schedule.
+    of its schedule. `bounds` limits a sight run's positive tests only
+    before the final search, so they are not checked.
     """
+    k_min, k_max = config.k_min, config.k_max
     if res.found is not None and not k_min <= len(res.found) <= k_max:
         raise ValueError(f"found set of size {len(res.found)} lies outside "
                          f"sizes {k_min}..{k_max}")
-    most, most_positive, steps = _worst_case(res.algorithm, res.a0, k_min, k_max, t_max)
-    if res.abort_step is not None and res.abort_step > steps:
-        raise ValueError(f"rc abort_step {res.abort_step} is past the {steps} "
-                         "steps of its schedule")
+    if res.algorithm == "sight":
+        most, most_positive = sight_max_tests(res.a0, k_min, k_max), None
+    else:
+        schedule = build_schedule(res.a0, k_max)
+        if res.abort_step is not None and res.abort_step >= len(schedule):
+            raise ValueError(f"rc abort_step {res.abort_step} is past the "
+                             f"{len(schedule) - 1} steps of its schedule")
+        most = rc_max_tests(schedule, config.t_max, k_min, k_max)
+        most_positive = rc_max_positive(len(schedule))
     if res.ledger.total > most:
         raise ValueError(f"{res.algorithm} run charges {res.ledger.total} tests, "
                          f"above its worst case of {most}")
-    if res.ledger.positives > most_positive:
+    if most_positive is not None and res.ledger.positives > most_positive:
         raise ValueError(f"{res.algorithm} run charges {res.ledger.positives} "
                          f"positive tests, above its worst case of {most_positive}")
 
 
-@cache
-def _worst_case(
-    algorithm: str, a0: int, k_min: int, k_max: int, t_max: int
-) -> tuple[int, float, float]:
-    """(tests, positive tests, schedule steps) a run may reach at most.
-
-    A sight run has no schedule, and `bounds` limits its positive tests
-    only before the final search, so both read as infinite.
-    """
-    if algorithm == "sight":
-        return sight_max_tests(a0, k_min, k_max), math.inf, math.inf
-    schedule = build_schedule(a0, k_max)
-    return (rc_max_tests(schedule, t_max, k_min, k_max),
-            rc_max_positive(len(schedule)), len(schedule) - 1)
-
-
 def read_run_log(
-    path: str | Path,
-    bounds: tuple[int, int, int] | None = None,
-    layout: tuple[tuple[int, ...], int] | None = None,
+    path: str | Path, config: ExperimentConfig | None = None
 ) -> tuple[tuple[int, ...], dict[int, list[PairResult]]]:
     """Rebuild paired results from a run log written by `write_run_log`.
 
@@ -608,11 +583,10 @@ def read_run_log(
     both records abort at the initial test or neither does. A malformed
     record, a repeated (a0, seed, algorithm) record, a gap in pair ids, a
     pair whose sides disagree on the initial test or a cell of a different
-    length raises ValidationError naming a line. Given `bounds`, the
-    run's (k_min, k_max, t_max), so does a record that fails
-    `check_bounds`. Given `layout`, the run's a0 grid and pairs per cell,
-    a log whose cells or pair count differ from it raises ValidationError
-    naming the log.
+    length raises ValidationError naming a line. Given the run's `config`,
+    so does a record that fails `check_bounds`, and a log whose cells or
+    pair count differ from its a0 grid and runs per cell raises
+    ValidationError naming the log.
     """
     grid: list[int] = []
     cells: dict[int, dict[int, dict[str, RunResult]]] = {}
@@ -623,8 +597,8 @@ def read_run_log(
             continue
         try:
             a0, pair_id, res = _parse_run_record(line)
-            if bounds is not None:
-                check_bounds(res, *bounds)
+            if config is not None:
+                check_bounds(res, config)
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if a0 not in cells:
@@ -670,11 +644,11 @@ def read_run_log(
                 f"{path}:{last_line[a0]}: cell a0={a0} has {len(pairs)} pairs, "
                 f"cell a0={grid[0]} has {len(pairs_by_a0[grid[0]])}"
             )
-    if layout is not None:
-        held = (tuple(grid), len(pairs_by_a0[grid[0]]) if grid else 0)
-        if held != (tuple(layout[0]), layout[1]):
+    if config is not None:
+        runs = len(pairs_by_a0[grid[0]]) if grid else 0
+        if (tuple(grid), runs) != (config.a0_grid, config.runs_per_cell):
             raise ValidationError(
-                f"{path}: holds a0 {list(held[0])} with {held[1]} pairs per cell, "
-                f"but its run had a0 {list(layout[0])} with {layout[1]}"
+                f"{path}: holds a0 {grid} with {runs} pairs per cell, but its run "
+                f"had a0 {list(config.a0_grid)} with {config.runs_per_cell}"
             )
     return tuple(grid), pairs_by_a0

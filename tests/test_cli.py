@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import PlantedFamily, RunOutcome, harness
+from groupsight import PlantedFamily, RunOutcome, cli, harness
 from groupsight.bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from groupsight.cli import RUN_SETTINGS, main
 from groupsight.harness import read_run_log
@@ -604,6 +604,11 @@ class TestStats:
         assert cells[records[at]["a0"]][records[at]["seed"]].rc.abort_step == 3
 
 
+# A config.json that `run` could have written beside `TestStatsBounds.run_dir`'s log.
+_LOGGED = {"family": "family.json", "a0": [8, 16], "runs": 20, "kmin": 2, "kmax": 4,
+           "tmax": 20, "pfn": 0.05, "seed": 5, "rho": [1.0], "label": "x", "threads": 1}
+
+
 class TestStatsBounds:
     """With the run's config.json beside the log, `stats` checks every record."""
 
@@ -694,20 +699,52 @@ class TestStatsBounds:
         assert code == 2 and f"runs.jsonl:{line}: found set of size 2 lies outside sizes 3..4" in err
 
     @pytest.mark.parametrize(
+        "change",
+        [{"pfn": "x"}, {"seed": -1}, {"threads": 0}, {"family": 7}, {"a0": [8, 8]},
+         {"kmax": 9}],
+        ids=["pfn-string", "seed-negative", "threads-0", "family-number", "a0-repeated",
+             "kmax-above-a0"],
+    )
+    def test_value_run_could_not_write_exits_2_naming_the_config(
+        self, run_dir, capsys, change
+    ):
+        config = json.loads((run_dir / "config.json").read_text())
+        (run_dir / "config.json").write_text(json.dumps({**config, **change}))
+        code, err = self.stats(run_dir, capsys)
+        assert code == 2 and err.startswith(f"error: {run_dir / 'config.json'}: "), err
+
+    @pytest.mark.parametrize("key", list(SETTING_VALUES))
+    def test_stats_reads_back_the_config_run_built(
+        self, family_file, tmp_path, monkeypatch, key
+    ):
+        built = []
+
+        def run_experiment(family, config):
+            built.append(config)
+            return harness.run_experiment(family, config)
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        out = tmp_path / "out"
+        values = {"family": str(family_file), "a0": "8", "runs": "4",
+                  key: SETTING_VALUES[key], "out": str(out)}
+        assert run_cli(["run", *(arg for k, v in values.items() for arg in (f"--{k}", v))]) == 0
+        assert cli._logged_run(out / "runs.jsonl") == built[0]
+
+    def test_config_run_could_write_passes(self, run_dir, capsys):
+        # The record each malformed config below changes in one value.
+        (run_dir / "config.json").write_text(json.dumps(_LOGGED))
+        assert self.stats(run_dir, capsys) == (0, "")
+
+    @pytest.mark.parametrize(
         "text",
         [
             "{",
             "[]",
-            json.dumps({"kmin": 2, "kmax": 4}),
-            json.dumps({"kmin": "2", "kmax": 4, "tmax": 20}),
-            json.dumps({"kmin": 2, "kmax": 4, "tmax": 20.0}),
-            json.dumps({"kmin": 5, "kmax": 4, "tmax": 20}),
-            json.dumps({"kmin": 1, "kmax": 4, "tmax": 20}),
-            json.dumps({"kmin": 2, "kmax": 4, "tmax": 0}),
-            json.dumps({"kmin": True, "kmax": 4, "tmax": 20}),
-            *(json.dumps({"kmin": 2, "kmax": 4, "tmax": 20, "a0": [8, 16], "runs": 20,
-                          "rho": [1.0], "label": "x", **change})
-              for change in ({"rho": "1,2"}, {"rho": [1, "x"]}, {"rho": [True]},
+            json.dumps({key: value for key, value in _LOGGED.items() if key != "tmax"}),
+            *(json.dumps({**_LOGGED, **change})
+              for change in ({"kmin": "2"}, {"tmax": 20.0}, {"kmin": 5}, {"kmin": 1},
+                             {"tmax": 0}, {"kmin": True},
+                             {"rho": "1,2"}, {"rho": [1, "x"]}, {"rho": [True]},
                              {"rho": [1, 1.0]}, {"rho": [-1]}, {"rho": [10**400]},
                              {"rho": None}, {"label": 3}, {"label": None},
                              {"a0": []}, {"a0": [8, "16"]}, {"a0": 8},
