@@ -2,9 +2,9 @@
 
 `FamilyIndex` keeps the planted sets as numpy columns grouped by minimum
 member. A query gathers the rows whose minimum lies in the queried nodes
-and keeps those whose every member does: `project` turns them into the
-sets of one sample, `contains_defective` and `count_contained` only
-count them.
+and keeps those whose every member does. `contains_defective` and
+`count_contained` only count them; `project` turns them into the integer
+masks of one sample, over which a paired run makes every test.
 """
 
 from __future__ import annotations
@@ -18,26 +18,30 @@ from .errors import InvalidKError, ValidationError
 
 
 class FamilyProjection:
-    """The planted sets lying inside one node sample S.
+    """The planted sets lying inside one node sample S, in position space.
 
-    Answers containment queries for subsets of S from the few planted
-    sets S holds, smallest first. A query with a node outside S raises
-    ValidationError instead of answering.
+    Node S[i] is bit i, so a subset of S is an int mask and `sets` holds
+    the masks of the planted sets inside S, fewest bits first. A query
+    is such a mask; one with a bit outside S raises ValidationError
+    instead of answering.
     """
 
-    __slots__ = ("nodes", "sets")
+    __slots__ = ("nodes", "sets", "_outside")
 
-    def __init__(self, nodes: frozenset[int], sets: tuple[frozenset[int], ...]):
+    def __init__(self, nodes: tuple[int, ...], sets: tuple[int, ...]):
         self.nodes = nodes
         self.sets = sets
+        # Every bit from len(S) up, and the sign: set in q & _outside exactly
+        # when q is negative or names a bit outside S.
+        self._outside = -1 << len(nodes)
 
-    def contains_defective(self, nodes: Sequence[int]) -> bool:
-        """Noise-free truth: does `nodes`, a subset of S, contain a planted set?"""
-        present = frozenset(nodes)
-        if not present <= self.nodes:
+    def contains_defective(self, query: int) -> bool:
+        """Noise-free truth: does the subset of S that `query` masks contain
+        a planted set?"""
+        if query & self._outside:
             raise ValidationError("query is not a subset of the projected sample")
         for p in self.sets:
-            if p <= present:
+            if p & query == p:
                 return True
         return False
 
@@ -107,8 +111,9 @@ class FamilyIndex:
         return _restore, (
             self.universe_size, self.columns, self.starts, self.sizes, self.order)
 
-    def _inside(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct queried nodes, ascending, and the rows inside them.
+    def _inside(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The queried nodes as given, the distinct ones ascending, and the
+        rows inside them.
 
         One gather takes the rows whose minimum is in `nodes`, of every
         size at once; each further column then keeps the rows whose
@@ -134,22 +139,32 @@ class FamilyIndex:
             if not picked.size:
                 break
             picked = picked.compress(inside.take(col.take(picked)))
-        return members, picked
+        return given, members, picked
 
     def project(self, nodes: Sequence[int]) -> FamilyProjection:
-        """The planted sets lying inside `nodes`, smallest first."""
-        members, picked = self._inside(nodes)
-        rows = zip(*(col.take(picked).tolist() for col in self.columns))
-        sets = sorted(map(frozenset, rows), key=len)
-        return FamilyProjection(frozenset(members.tolist()), tuple(sets))
+        """The planted sets lying inside `nodes`, as masks with bit i for
+        nodes[i], fewest bits first. A repeated node raises."""
+        given, members, picked = self._inside(nodes)
+        if members.size < given.size:
+            raise ValidationError("projected sample has a repeated node")
+        masks = [0] * picked.size
+        if masks:
+            position = np.empty(self.universe_size, dtype=np.intp)
+            position[given] = np.arange(given.size)
+            # A row's padding repeats its last member, which OR absorbs.
+            for col in self.columns:
+                bits = position.take(col.take(picked)).tolist()
+                masks = [m | 1 << p for m, p in zip(masks, bits)]
+            masks.sort(key=int.bit_count)
+        return FamilyProjection(tuple(nodes), tuple(masks))
 
     def contains_defective(self, nodes: Sequence[int]) -> bool:
         """True iff some planted set is a subset of `nodes`."""
-        return self._inside(nodes)[1].size > 0
+        return self._inside(nodes)[2].size > 0
 
     def count_contained(self, nodes: Sequence[int], k: int) -> int:
         """Number of planted k-sets lying fully inside `nodes`."""
-        return int(np.count_nonzero(self.sizes.take(self._inside(nodes)[1]) == k))
+        return int(np.count_nonzero(self.sizes.take(self._inside(nodes)[2]) == k))
 
 
 def _check_sets(

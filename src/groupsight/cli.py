@@ -227,8 +227,8 @@ def _logged_value(echo: dict, key: str) -> object:
 
 def _logged_run(log: str | Path) -> ExperimentConfig | None:
     """The experiment of the `config.json` beside a run log, if any, read
-    and checked with `run`'s rules. The family's size is not known here,
-    so no a0 is too large for it."""
+    and checked with `run`'s rules: it holds exactly the keys `run` writes.
+    The family's size is not known here, so no a0 is too large for it."""
     path = Path(log).parent / "config.json"
     if not path.exists():
         return None
@@ -236,6 +236,9 @@ def _logged_run(log: str | Path) -> ExperimentConfig | None:
         echo = json.loads(path.read_text())
         if not isinstance(echo, dict):
             raise ValueError("not a JSON object")
+        for key in echo:
+            if key not in RUN_SETTINGS or key == "out":
+                raise ValueError(f"unknown key '{key}'")
         config = _experiment({
             key: _logged_value(echo, key) for key in RUN_SETTINGS if key != "out"
         })

@@ -392,9 +392,10 @@ def run_experiment(family: PlantedFamily, config: ExperimentConfig) -> Experimen
     cells: dict[int, list[PairResult]] = {}
     summaries: list[CellSummary] = []
     # One worker pool serves every cell, so each worker receives the
-    # family once. The pool may start all its workers at the first submit
-    # (it does under the fork start method), so it gets no more than the
-    # usable CPUs or a cell's chunks.
+    # family once. A cell submits all its chunks at once, which starts
+    # every worker: under fork at the first submit, under forkserver and
+    # spawn one per submit. So the pool gets no more than the usable CPUs
+    # or a cell's chunks.
     if config.threads > 1:
         workers = ProcessPoolExecutor(
             max_workers=min(config.threads, _usable_cpus(), len(_chunks(config))),

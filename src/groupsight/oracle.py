@@ -10,6 +10,7 @@ positive/negative test ledger.
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from collections.abc import Iterator, Mapping, Sequence
@@ -118,7 +119,7 @@ class PlantedFamily:
         return self._index
 
     def project(self, nodes: Sequence[int]) -> FamilyProjection:
-        """The planted sets lying inside `nodes`, for queries on its subsets."""
+        """The planted sets lying inside `nodes`, as masks over its positions."""
         return self._index.project(nodes)
 
     @property
@@ -588,8 +589,9 @@ class Oracle:
     a negative test, because that is the behavior the caller observes.
     Answers are never memoized here; any per-run bookkeeping belongs to
     the search algorithms. The truth comes from `family`: a whole planted
-    family answers from its row store, and a projection onto a sample S
-    answers queries on subsets of S, the only ones a run makes, from the
+    family answers a query given as nodes from its row store, and a
+    projection onto a sample S answers a query given as a mask over S's
+    positions, the form every test of a run takes, from the masks of the
     few planted sets inside S.
     """
 
@@ -601,9 +603,9 @@ class Oracle:
             raise ValidationError("p_fn must lie in [0, 1)")
 
     def is_defective(
-        self, nodes: Sequence[int], ledger: TestLedger, rng: np.random.Generator
+        self, query: Sequence[int] | int, ledger: TestLedger, rng: np.random.Generator
     ) -> bool:
-        if self.family.contains_defective(nodes):
+        if self.family.contains_defective(query):
             if self.p_fn > 0.0 and rng.random() < self.p_fn:
                 ledger.negatives += 1
                 return False
@@ -611,6 +613,22 @@ class Oracle:
             return True
         ledger.negatives += 1
         return False
+
+    def _onto(self, nodes: list[int]) -> "Oracle":
+        """This oracle, answering masks over `nodes`: bit i stands for nodes[i].
+
+        One over a projection must be over exactly `nodes` and is returned
+        as it is. One over a whole family is copied with the family
+        projected onto `nodes`; the copy shares the original's attributes,
+        so a subclass's hooks and records carry over.
+        """
+        if isinstance(self.family, FamilyProjection):
+            if self.family.nodes != tuple(nodes):
+                raise ValidationError("the oracle's projection is not onto these nodes")
+            return self
+        projected = copy.copy(self)
+        object.__setattr__(projected, "family", self.family.project(nodes))
+        return projected
 
 
 def sample(pool: Sequence[int], count: int, rng: np.random.Generator) -> list[int]:

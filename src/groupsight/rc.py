@@ -18,7 +18,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .oracle import KSet, Oracle, TestLedger, _choose
-from .results import RunOutcome, RunResult, bottom_up, check_window, start_run
+from .results import (
+    RunOutcome,
+    RunResult,
+    bit_values,
+    bottom_up,
+    check_window,
+    start_run,
+)
 
 ALGORITHM = "rc"
 
@@ -71,9 +78,12 @@ def bottom_up_rc(
     Every subset of each size is tested, in uniformly random order per
     size; unlike the deterministic sampler's final pass there is no
     already-tested bookkeeping to consult. Returns None when no subset
-    of size at most k_max tests defective.
+    of size at most k_max tests defective. The tests are masks over `s`,
+    bit i for s[i]; an oracle over a projection must be over exactly `s`.
     """
-    return bottom_up(s, range(k_min, min(k_max, len(s)) + 1), oracle, ledger, rng)
+    s = list(s)
+    return bottom_up(s, bit_values(len(s)), range(k_min, min(k_max, len(s)) + 1),
+                     oracle._onto(s), ledger, rng)
 
 
 def run_rc(
@@ -89,10 +99,11 @@ def run_rc(
 
     `init_rng`, the one start stream, and `initial_sample` behave exactly
     as in the deterministic sampler, letting paired runs share the initial
-    sample and its test outcome while diverging stochastically after.
+    sample and its test outcome while diverging stochastically after. An
+    oracle over a projection must be over exactly that sample.
     """
     s, init_rng = start_run(universe_size, config, rng, init_rng, initial_sample)
-    return _rc(config, oracle, rng, init_rng, s)
+    return _rc(config, oracle._onto(s), rng, init_rng, s)
 
 
 def _rc(
@@ -102,26 +113,30 @@ def _rc(
     init_rng: np.random.Generator,
     s: list[int],
 ) -> RunResult:
-    """The run of `run_rc` from the checked initial sample `s`.
+    """The run of `run_rc` from the checked initial sample `s`, with
+    `oracle` answering masks over `s`.
 
-    Each step draws as `sample(s, a_i, rng)` does; `s` holds only plain
-    ints, so the members are taken as they are.
+    The surviving members are kept as their bits, so a subset's mask is
+    their sum. Each step draws positions as `sample` does from a pool of
+    the surviving members.
     """
     ledger = TestLedger()
     result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
 
-    if not oracle.is_defective(s, ledger, init_rng):
+    if not oracle.is_defective((1 << len(s)) - 1, ledger, init_rng):
         return result(RunOutcome.ABORT_INITIAL)
 
+    members = bit_values(len(s))
     for step, a_i in enumerate(build_schedule(config.a0, config.k_max)[1:], start=1):
         for _ in range(config.t_max):
-            s_new = [s[i] for i in _choose(len(s), a_i, rng)]
-            if oracle.is_defective(s_new, ledger, rng):
-                s = s_new
+            chosen = [members[i] for i in _choose(len(members), a_i, rng)]
+            if oracle.is_defective(sum(chosen), ledger, rng):
+                members = chosen
                 break
         else:
             return result(RunOutcome.ABORT_AT_STEP, abort_step=step)
 
-    found = bottom_up_rc(s, config.k_min, config.k_max, oracle, ledger, rng)
+    sizes = range(config.k_min, min(config.k_max, len(members)) + 1)
+    found = bottom_up(s, members, sizes, oracle, ledger, rng)
     return result(RunOutcome.ABORT_NO_MINIMAL if found is None else RunOutcome.FOUND,
                   found=found)

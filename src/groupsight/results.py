@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -12,9 +13,9 @@ import numpy as np
 from .errors import ValidationError
 from .oracle import KSet, Oracle, TestLedger, sample
 
-# Registry of node sets already submitted to the oracle this run, with
-# the answer observed.
-TestedRegistry = dict[frozenset, bool]
+# Registry of the tests already submitted to the oracle this run, each as
+# its mask over the run's sample, with the answer observed.
+TestedRegistry = dict[int, bool]
 
 
 class RunOutcome(str, Enum):
@@ -104,39 +105,42 @@ def start_run(
     return s, init_rng
 
 
-def ask(nodes: Sequence[int], oracle: Oracle, ledger: TestLedger,
-        rng: np.random.Generator, tested: Optional[TestedRegistry] = None) -> bool:
-    """Test `nodes`, recording the answer in `tested` when one is given.
+@cache
+def bit_values(n: int) -> tuple[int, ...]:
+    """The bits of positions 0..n-1: 1, 2, 4, ..., 1 << (n - 1)."""
+    return tuple(1 << i for i in range(n))
 
-    With a registry, the oracle is asked about the frozenset that becomes
-    the registry key; `frozenset` of a frozenset is that same object, so
-    a projection does not hash the nodes a second time.
-    """
-    if tested is None:
-        return oracle.is_defective(nodes, ledger, rng)
-    key = frozenset(nodes)
-    tested[key] = result = oracle.is_defective(key, ledger, rng)
+
+def ask(query: int, oracle: Oracle, ledger: TestLedger,
+        rng: np.random.Generator, tested: Optional[TestedRegistry] = None) -> bool:
+    """Test the mask `query`, recording the answer in `tested` when one is given."""
+    result = oracle.is_defective(query, ledger, rng)
+    if tested is not None:
+        tested[query] = result
     return result
 
 
 def bottom_up(
-    nodes: Sequence[int], sizes: range, oracle: Oracle, ledger: TestLedger,
-    rng: np.random.Generator, tested: Optional[TestedRegistry] = None,
+    nodes: Sequence[int], bits: Sequence[int], sizes: range, oracle: Oracle,
+    ledger: TestLedger, rng: np.random.Generator,
+    tested: Optional[TestedRegistry] = None,
 ) -> KSet | None:
-    """First subset of `nodes` to test defective, else None.
+    """First subset of the members `bits` to test defective, as node ids,
+    else None. Bit i stands for nodes[i].
 
     Sizes are scanned in ascending order, the subsets of each size in
-    uniformly random order. With a `tested` registry, subsets already in
-    it are skipped for free and every new answer is recorded there.
+    uniformly random order; the tiers list them as `combinations` of the
+    members sorted by node id. With a `tested` registry, subsets already
+    in it are skipped for free and every new answer is recorded there.
     """
-    ordered = sorted(nodes)
+    ordered = [bit for _, bit in sorted((nodes[b.bit_length() - 1], b) for b in bits)]
     for k in sizes:
         tier = list(combinations(ordered, k))
         for idx in rng.permutation(len(tier)):
             cand = tier[idx]
-            key = frozenset(cand)
-            if tested is not None and key in tested:
+            query = sum(cand)
+            if tested is not None and query in tested:
                 continue
-            if ask(key, oracle, ledger, rng, tested):
-                return cand
+            if ask(query, oracle, ledger, rng, tested):
+                return tuple(nodes[b.bit_length() - 1] for b in cand)
     return None

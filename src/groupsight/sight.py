@@ -24,6 +24,7 @@ from .results import (
     RunResult,
     TestedRegistry,
     ask,
+    bit_values,
     bottom_up,
     check_window,
     start_run,
@@ -62,19 +63,32 @@ def bin_search(
     the returned index may be wrong, which the caller's flow absorbs.
     Each probe is recorded in `tested`, when one is given, unless it
     holds more than `k_max` nodes.
+
+    The tests are masks over s + d, which are disjoint: bit i stands for
+    s[i], bit len(s) + j for d[j]. `tested` is keyed by those masks, and
+    an oracle over a projection must be over exactly s + d.
     """
     if not s:
         raise EmptySelectionError("cannot binary-search an empty list")
-    d = list(d)
-    left, right = 1, len(s)
+    s, d = list(s), list(d)
+    accumulated = ((1 << len(d)) - 1) << len(s)
+    return _bin_search(len(s), accumulated, oracle._onto(s + d), ledger, rng, tested, k_max)
+
+
+def _bin_search(length: int, d: int, oracle: Oracle, ledger: TestLedger,
+                rng: np.random.Generator, tested: Optional[TestedRegistry],
+                k_max: Optional[int]) -> int:
+    """`bin_search` over positions 0..length-1, with `d` the mask of the
+    accumulated nodes: the probe d + s[:m] is d | (1 << m) - 1."""
+    d_size = d.bit_count()
+    left, right = 1, length
     while left < right:
-        i = (right - left + 1) // 2  # ceil((right - left) / 2)
-        probe = d + s[: right - i]
-        registry = tested if k_max is None or len(probe) <= k_max else None
-        if ask(probe, oracle, ledger, rng, registry):
-            right = right - i
+        m = right - (right - left + 1) // 2  # right - ceil((right - left) / 2)
+        registry = tested if k_max is None or d_size + m <= k_max else None
+        if ask(d | (1 << m) - 1, oracle, ledger, rng, registry):
+            right = m
         else:
-            left = right - i + 1
+            left = m + 1
     return right
 
 
@@ -93,9 +107,22 @@ def bottom_up_sight(
     skipping (for free) subsets already submitted to the oracle during
     this run. During a run, every registered proper subset of `d` was
     observed non-defective, so skipping cannot hide a smaller answer.
+
+    The tests are masks over `d`, bit i for d[i]: `tested` is keyed by
+    them, and an oracle over a projection must be over exactly `d`.
     """
+    d = list(d)
+    return _bottom_up(d, bit_values(len(d)), k_min, k_max, tested, oracle._onto(d),
+                      ledger, rng)
+
+
+def _bottom_up(s: list[int], d: list[int], k_min: int, k_max: int,
+               tested: TestedRegistry, oracle: Oracle, ledger: TestLedger,
+               rng: np.random.Generator) -> KSet:
+    """`bottom_up_sight` over the members `d`, given as bits over `s`."""
     sizes = range(k_min, min(k_max, len(d) - 1) + 1)
-    return bottom_up(d, sizes, oracle, ledger, rng, tested) or tuple(sorted(d))
+    return (bottom_up(s, d, sizes, oracle, ledger, rng, tested)
+            or tuple(sorted(s[b.bit_length() - 1] for b in d)))
 
 
 def run_sight(
@@ -113,9 +140,10 @@ def run_sight(
     initial sample unless `initial_sample` gives one, then the initial
     test's noise draw. Paired runs hand both samplers the same sample and
     generators for the same substream, so they share that prefix exactly.
+    An oracle over a projection must be over exactly that sample.
     """
     s, init_rng = start_run(universe_size, config, rng, init_rng, initial_sample)
-    return _sight(config, oracle, rng, init_rng, s)
+    return _sight(config, oracle._onto(s), rng, init_rng, s)
 
 
 def _sight(
@@ -125,38 +153,42 @@ def _sight(
     init_rng: np.random.Generator,
     s: list[int],
 ) -> RunResult:
-    """The run of `run_sight` from the checked initial sample `s`.
+    """The run of `run_sight` from the checked initial sample `s`, with
+    `oracle` answering masks over `s`.
 
-    Every tested set of at most k_max nodes is registered; those are the
-    only sets looked up. The minimality pass skips registered subsets for
-    free, and the accumulated-set test reuses a registered answer instead
-    of charging a duplicate test.
+    What is left of the sample is always a prefix of `s`, so a probe is
+    the accumulated mask OR a run of low bits. Every tested set of at
+    most k_max nodes is registered; those are the only sets looked up.
+    The minimality pass skips registered subsets for free, and the
+    accumulated-set test reuses a registered answer instead of charging
+    a duplicate test.
     """
     ledger = TestLedger()
     tested: TestedRegistry = {}
     result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
     k_max = config.k_max
+    length = len(s)
 
-    if not ask(s, oracle, ledger, init_rng, tested if len(s) <= k_max else None):
+    if not ask((1 << length) - 1, oracle, ledger, init_rng,
+               tested if length <= k_max else None):
         return result(RunOutcome.ABORT_INITIAL, positives_pre_bottom_up=0)
 
-    d: list[int] = []
-    # An empty `s` means defective content was truncated away (false
+    d: list[int] = []  # the bits of the accumulated nodes
+    accumulated = 0
+    # An empty prefix means defective content was truncated away (false
     # negatives) or completes below k_min: abort, as at k_max.
-    while s and len(d) < k_max:
-        m = bin_search(s, d, oracle, ledger, rng, tested, k_max)
-        d.append(s[m - 1])
+    while length and len(d) < k_max:
+        m = _bin_search(length, accumulated, oracle, ledger, rng, tested, k_max)
+        d.append(1 << (m - 1))
+        accumulated |= d[-1]
         if len(d) >= config.k_min:
-            key = frozenset(d)
-            defective = tested.get(key)
+            defective = tested.get(accumulated)
             if defective is None:
-                defective = ask(key, oracle, ledger, rng, tested)
+                defective = ask(accumulated, oracle, ledger, rng, tested)
             if defective:
                 pre_bu = ledger.positives
-                found = bottom_up_sight(
-                    d, config.k_min, k_max, tested, oracle, ledger, rng
-                )
+                found = _bottom_up(s, d, config.k_min, k_max, tested, oracle, ledger, rng)
                 return result(RunOutcome.FOUND, found=found,
                               positives_pre_bottom_up=pre_bu)
-        s = s[: m - 1]
+        length = m - 1
     return result(RunOutcome.ABORT_TOO_LARGE, positives_pre_bottom_up=ledger.positives)

@@ -28,6 +28,17 @@ def brute_least_defective_prefix(planted, d, s) -> int | None:
     return None
 
 
+def mask_of(sample, nodes) -> int:
+    """The mask of `nodes` over `sample`, in which bit i stands for sample[i]."""
+    position = {v: i for i, v in enumerate(sample)}
+    return sum(1 << position[v] for v in set(nodes))
+
+
+def nodes_of(sample, mask) -> frozenset:
+    """The nodes of `sample` whose bits `mask` sets."""
+    return frozenset(v for i, v in enumerate(sample) if mask >> i & 1)
+
+
 def brute_is_antichain(planted) -> bool:
     """Pairwise subset test over all ordered pairs of distinct sets."""
     sets = [set(p) for p in planted]

@@ -713,6 +713,14 @@ class TestStatsBounds:
         code, err = self.stats(run_dir, capsys)
         assert code == 2 and err.startswith(f"error: {run_dir / 'config.json'}: "), err
 
+    @pytest.mark.parametrize("key", ["rusn", "out", ""])
+    def test_key_run_never_writes_exits_2_naming_the_config(self, run_dir, capsys, key):
+        config = json.loads((run_dir / "config.json").read_text())
+        (run_dir / "config.json").write_text(json.dumps({**config, key: 10}))
+        code, err = self.stats(run_dir, capsys)
+        assert code == 2
+        assert err == f"error: {run_dir / 'config.json'}: unknown key '{key}'\n", err
+
     @pytest.mark.parametrize("key", list(SETTING_VALUES))
     def test_stats_reads_back_the_config_run_built(
         self, family_file, tmp_path, monkeypatch, key

@@ -4,8 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import multiprocessing
 import random
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
 
@@ -366,6 +367,23 @@ class TestExperimentOutputs:
         baseline = run_experiment(family, config)
         assert threaded.cells == baseline.cells
         assert threaded.summaries == baseline.summaries
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_under_each_start_method_matches_in_process(self, method):
+        # Python 3.14 makes forkserver the default on Linux. Under forkserver
+        # and spawn, a worker gets the family and config by pickle alone.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        fam = generate_family(60, {2: 10, 3: 10, 5: 300}, seed=31)
+        cfg = ExperimentConfig(
+            a0_grid=(8, 16), runs_per_cell=10, p_fn=0.05, master_seed=11, threads=2
+        )
+        with ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context(method),
+            initializer=harness._init_worker, initargs=(fam, cfg),
+        ) as pool:
+            for a0 in cfg.a0_grid:
+                assert harness.run_cell(fam, cfg, a0, pool) == harness.run_cell(fam, cfg, a0)
 
     @pytest.mark.parametrize("cpus, threads, runs, workers", [
         (4, 5000, 80, 4),   # capped at the usable CPUs

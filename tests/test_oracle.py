@@ -38,6 +38,8 @@ from conftest import (
     brute_is_antichain,
     brute_truth,
     make_family,
+    mask_of,
+    nodes_of,
     random_antichain_family,
 )
 
@@ -251,44 +253,56 @@ class TestProjection:
         )
         s = rng.sample(range(n), data.draw(st.integers(0, n)))
         proj = fam.project(s)
-        assert proj.nodes == frozenset(s)
-        assert sorted(map(sorted, proj.sets)) == sorted(
+        assert proj.nodes == tuple(s)
+        # Bit i of each set's mask stands for s[i].
+        assert sorted(sorted(nodes_of(s, p)) for p in proj.sets) == sorted(
             list(p) for p in fam.planted if set(p) <= set(s)
         )
-        assert [len(p) for p in proj.sets] == sorted(len(p) for p in proj.sets)
+        sizes = [p.bit_count() for p in proj.sets]
+        assert sizes == sorted(sizes)
         for _ in range(20):
             q = rng.sample(s, rng.randrange(len(s) + 1))
-            assert proj.contains_defective(q) == brute_truth(fam.planted, q)
+            assert proj.contains_defective(mask_of(s, q)) == brute_truth(fam.planted, q)
+        inside = mask_of(s, s[: rng.randrange(len(s) + 1)])
+        for bad in (inside | 1 << rng.randrange(len(s), len(s) + 70), -1 - inside):
+            with pytest.raises(ValidationError):
+                proj.contains_defective(bad)
         outside = [v for v in range(n) if v not in s]
         if outside:
             q = s[: rng.randrange(len(s) + 1)] + [rng.choice(outside)]
             with pytest.raises(ValidationError):
-                proj.contains_defective(q)
+                Oracle(proj)._onto(q)
 
     def test_empty_family(self):
         proj = generate_family(10, {}, seed=0).project([1, 4, 7])
         assert proj.sets == ()
-        assert not proj.contains_defective([1, 4, 7])
+        assert not proj.contains_defective(0b111)
 
     def test_sample_holding_no_planted_set(self):
         fam = make_family(10, [{0, 1}, {2, 3, 4}, {5, 6, 7, 8, 9}])
         proj = fam.project([0, 2, 3, 5, 6, 7, 8])
         assert proj.sets == ()
-        assert not proj.contains_defective([0, 2, 3, 5, 6, 7, 8])
+        assert not proj.contains_defective((1 << 7) - 1)
 
-    def test_frozenset_query_outside_the_sample_rejected(self):
-        proj = make_family(10, [{0, 1}, {2, 3}]).project([0, 1, 2, 3])
-        assert proj.contains_defective(frozenset({0, 1}))
-        assert not proj.contains_defective(frozenset({1, 2}))
-        for bad in ({0, 1, 4}, {9}):
+    def test_mask_query_outside_the_sample_rejected(self):
+        proj = make_family(10, [{0, 1}, {2, 3}]).project([3, 0, 2, 1])
+        assert proj.sets == (0b1010, 0b0101)
+        assert proj.contains_defective(0b1010)
+        assert not proj.contains_defective(0b0011)
+        for bad in (0b11010, 1 << 9, -1):
             with pytest.raises(ValidationError):
-                proj.contains_defective(frozenset(bad))
+                proj.contains_defective(bad)
 
     def test_sample_out_of_range_rejected(self):
         fam = make_family(10, [{0, 1}])
         for bad in ([0, 10], [-1, 3]):
             with pytest.raises(ValidationError):
                 fam.project(bad)
+
+    def test_sample_with_a_repeated_node_rejected(self):
+        # A node held twice would have two bits, and a mask one of them.
+        with pytest.raises(ValidationError):
+            make_family(10, [{0, 1}]).project([0, 1, 0])
 
     def test_oracle_over_projection_charges_and_rejects_like_the_full_one(self):
         fam = make_family(12, [{0, 1}, {2, 3, 4}, {6, 7}])
@@ -300,12 +314,19 @@ class TestProjection:
         for _ in range(300):
             q = pyrng.sample(s, pyrng.randrange(len(s) + 1))
             assert full.is_defective(q, full_ledger, full_rng) == local.is_defective(
-                q, local_ledger, local_rng
+                mask_of(s, q), local_ledger, local_rng
             )
         assert full_ledger == local_ledger
         with pytest.raises(ValidationError):
-            local.is_defective([0, 6, 7], local_ledger, local_rng)
+            local.is_defective(0b1 | 1 << 6 | 1 << 7, local_ledger, local_rng)
         assert full_ledger == local_ledger
+        # Projected onto S, the whole family's oracle answers the same masks;
+        # an oracle over S answers only over S itself.
+        assert full._onto(s).family.sets == local.family.sets
+        assert local._onto(s) is local
+        for other in ([0, 6, 7], s[::-1], s[:-1]):
+            with pytest.raises(ValidationError):
+                local._onto(other)
 
     def test_mixed_sizes_in_any_order_match_brute_force(self):
         # Sizes 2 to 5 interleaved, minimum members out of order.
@@ -319,12 +340,12 @@ class TestProjection:
         for _ in range(300):
             s = pyrng.sample(range(30), pyrng.randrange(31))
             proj = fam.project(s)
-            inside = [frozenset(p) for p in planted if set(p) <= set(s)]
-            assert set(proj.sets) == set(inside)
+            inside = [p for p in planted if set(p) <= set(s)]
+            assert set(proj.sets) == {mask_of(s, p) for p in inside}
             assert len(proj.sets) == len(inside)
-            assert [len(p) for p in proj.sets] == sorted(len(p) for p in inside)
+            assert [p.bit_count() for p in proj.sets] == sorted(len(p) for p in inside)
             q = pyrng.sample(s, pyrng.randrange(len(s) + 1))
-            assert proj.contains_defective(q) == brute_truth(planted, q)
+            assert proj.contains_defective(mask_of(s, q)) == brute_truth(planted, q)
 
     @staticmethod
     def assert_same_store_and_answers(fam, clone):
@@ -396,7 +417,7 @@ class TestProjection:
         assert other.index() is not fam.index()
         assert not other.contains_defective([1, 2])
         assert other.contains_defective([3, 4])
-        assert other.project([1, 2, 3, 4]).sets == (frozenset({3, 4}),)
+        assert other.project([1, 2, 3, 4]).sets == (0b1100,)
         with pytest.raises(TypeError):
             PlantedFamily(6, ((3, 4),), _index=fam.index())
 

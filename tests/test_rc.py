@@ -170,6 +170,7 @@ class TestRunRc:
                 60, cfg, oracle, spawn_generator(16, 0, j, ROLE_RC),
                 init_rng=spawn_generator(16, 0, j, ROLE_INIT),
             )
+            assert len(oracle.log) == res.ledger.total
             if res.outcome is not RunOutcome.FOUND:
                 continue
             # The accepted set at each reduction size is the first

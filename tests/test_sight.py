@@ -28,6 +28,8 @@ from conftest import (
     MALFORMED_SAMPLES,
     brute_least_defective_prefix,
     make_family,
+    mask_of,
+    nodes_of,
     random_antichain_family,
 )
 
@@ -40,15 +42,21 @@ def rngs(seed, j=0):
 
 
 class RecordingOracle(Oracle):
-    """Oracle that logs every charged query with its answer."""
+    """Oracle that logs every charged test, as the node set it names, with
+    its answer.
+
+    A run asks a copy of it over the family projected onto the run's
+    sample, which shares this log; each test is a mask over that sample
+    and is logged decoded back to nodes.
+    """
 
     def __init__(self, family, p_fn=0.0):
         super().__init__(family, p_fn)
         object.__setattr__(self, "log", [])
 
-    def is_defective(self, nodes, ledger, rng):
-        result = super().is_defective(nodes, ledger, rng)
-        self.log.append((frozenset(nodes), result))
+    def is_defective(self, query, ledger, rng):
+        result = super().is_defective(query, ledger, rng)
+        self.log.append((nodes_of(self.family.nodes, query), result))
         return result
 
 
@@ -135,8 +143,9 @@ class TestBottomUpSight:
         fam = make_family(10, [{1, 3}])
         ledger = Ledger()
         rng, _ = rngs(9)
-        tested = {frozenset(p): False for p in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]}
-        out = bottom_up_sight([0, 1, 2, 3], 2, 4, tested, Oracle(fam), ledger, rng)
+        d = [2, 0, 3, 1]
+        tested = {mask_of(d, p): False for p in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]}
+        out = bottom_up_sight(d, 2, 4, tested, Oracle(fam), ledger, rng)
         assert out == (1, 3)
         assert ledger.total == 1  # only the one unregistered pair
 
@@ -289,6 +298,7 @@ class TestRunSight:
                 spawn_generator(52, trial, ROLE_SIGHT),
                 init_rng=spawn_generator(52, trial, ROLE_INIT),
             )
+            assert len(oracle.log) == res.ledger.total
             if res.outcome is not RunOutcome.FOUND:
                 continue
             checked += 1
