@@ -9,7 +9,7 @@ masks of one sample, over which a paired run makes every test.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from itertools import chain
 
 import numpy as np
@@ -111,16 +111,23 @@ class FamilyIndex:
         return _restore, (
             self.universe_size, self.columns, self.starts, self.sizes, self.order)
 
-    def _inside(self, nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The queried nodes as given, the distinct ones ascending, and the
-        rows inside them.
+    def _inside(
+        self, nodes: Collection[int]
+    ) -> tuple[Sequence[int], np.ndarray, np.ndarray, np.ndarray]:
+        """The queried nodes as ints and as an array, the distinct ones
+        ascending, and the rows inside them.
 
-        One gather takes the rows whose minimum is in `nodes`, of every
-        size at once; each further column then keeps the rows whose
-        member there is in `nodes` too.
+        The one gate for nodes a caller supplies: each must be an integer
+        in range, an int or a numpy integer (made an int) but not a bool,
+        or ValidationError is raised. One gather takes the rows whose
+        minimum is in `nodes`, of every size at once; each further column
+        then keeps the rows whose member there is in `nodes` too.
         """
-        # Any sized iterable: np.array of a frozenset is an object array.
-        given = np.fromiter(nodes, dtype=np.intp, count=len(nodes))
+        nodes = _integers(nodes)
+        try:
+            given = np.fromiter(nodes, dtype=np.intp, count=len(nodes))
+        except OverflowError:
+            raise ValidationError("node out of range") from None
         # A negative node reads as a huge unsigned one.
         if given.size and given.view(np.uintp).max() >= self.universe_size:
             raise ValidationError("node out of range")
@@ -130,6 +137,12 @@ class FamilyIndex:
         # run's projection takes about 10 us, and the wrappers' own Python
         # cost was a quarter of that.
         members = inside.nonzero()[0]
+        # `_integers` passes a bool as node 0 or 1, so only a query holding
+        # one of those has the types at their positions looked at.
+        if members.size and members[0] <= 1 and any(
+            type(nodes[i]) is bool for i in (given <= 1).nonzero()[0].tolist()
+        ):
+            raise ValidationError("nodes must be integers, not bools")
         lo = self.starts.take(members)
         counts = self.starts[1:].take(members) - lo
         offsets = counts.cumsum() - counts
@@ -139,12 +152,13 @@ class FamilyIndex:
             if not picked.size:
                 break
             picked = picked.compress(inside.take(col.take(picked)))
-        return given, members, picked
+        return nodes, given, members, picked
 
-    def project(self, nodes: Sequence[int]) -> FamilyProjection:
+    def project(self, nodes: Collection[int]) -> FamilyProjection:
         """The planted sets lying inside `nodes`, as masks with bit i for
-        nodes[i], fewest bits first. A repeated node raises."""
-        given, members, picked = self._inside(nodes)
+        nodes[i], fewest bits first. A repeated node raises, as does any
+        node `_inside` rejects."""
+        nodes, given, members, picked = self._inside(nodes)
         if members.size < given.size:
             raise ValidationError("projected sample has a repeated node")
         masks = [0] * picked.size
@@ -158,13 +172,34 @@ class FamilyIndex:
             masks.sort(key=int.bit_count)
         return FamilyProjection(tuple(nodes), tuple(masks))
 
-    def contains_defective(self, nodes: Sequence[int]) -> bool:
+    def contains_defective(self, nodes: Collection[int]) -> bool:
         """True iff some planted set is a subset of `nodes`."""
-        return self._inside(nodes)[2].size > 0
+        return self._inside(nodes)[3].size > 0
 
-    def count_contained(self, nodes: Sequence[int], k: int) -> int:
+    def count_contained(self, nodes: Collection[int], k: int) -> int:
         """Number of planted k-sets lying fully inside `nodes`."""
-        return int(np.count_nonzero(self.sizes.take(self._inside(nodes)[2]) == k))
+        return int(np.count_nonzero(self.sizes.take(self._inside(nodes)[3]) == k))
+
+
+def _integers(nodes: Collection[int]) -> Sequence[int]:
+    """`nodes` as a list or tuple in which each is an int, or a bool.
+
+    A numpy integer is made an int. Anything else but an int or a bool,
+    a float say, or `nodes` not a collection, raises ValidationError.
+    """
+    if isinstance(nodes, (list, tuple)):
+        try:
+            # Ints (and bools) sum to an int; a float, a numpy scalar or any
+            # other type among them makes the sum something else, or raises.
+            if type(sum(nodes)) is int:
+                return nodes
+        except TypeError:
+            pass
+    if not (isinstance(nodes, Collection) and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in nodes
+    )):
+        raise ValidationError("nodes must be a collection of integers")
+    return [int(v) for v in nodes]
 
 
 def _check_sets(

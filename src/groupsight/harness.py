@@ -9,11 +9,11 @@ positive:negative test cost ratio.
 
 One loop, `_run_pairs`, runs every paired run, whether one pair alone
 (`run_pair`), a whole cell in process or a chunk of a cell in a worker.
-It checks both samplers' configs once, derives the Philox keys of all its
-pairs' streams in one pass and resets four reused generators to each
-pair's keys. A pair draws its initial sample, projects the planted family
-onto it and answers every test of both samplers from that projection,
-since each query is a subset of the initial sample.
+It derives the Philox keys of all its pairs' streams in one pass and
+resets four reused generators to each pair's keys. A pair draws its
+initial sample, projects the planted family onto it and hands
+`run_sight` and `run_rc` one oracle over that projection, which answers
+every test of both, since each query is a subset of the initial sample.
 
 All randomness is derived from (master seed, a0, run index, role)
 substreams, so results are byte-identical for a given configuration no
@@ -40,7 +40,7 @@ import numpy as np
 from .bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from .errors import ValidationError
 from .oracle import Oracle, PlantedFamily, TestLedger, _is_int, sample
-from .rc import RcConfig, _rc, build_schedule
+from .rc import RcConfig, build_schedule, run_rc
 from .results import RunOutcome, RunResult
 from .rng import (
     ROLE_INIT,
@@ -50,7 +50,7 @@ from .rng import (
     reset_generator,
     stream_keys,
 )
-from .sight import SightConfig, _sight
+from .sight import SightConfig, run_sight
 from .stats import mann_whitney_u
 
 DEFAULT_RHOS = (1.0, 10.0, 50.0, 100.0)
@@ -176,13 +176,10 @@ def _run_pairs(
     family: PlantedFamily, config: ExperimentConfig, a0: int, start: int, stop: int
 ) -> list[PairResult]:
     """Pairs start..stop-1 of cell `a0`, in pair-id order, each as `run_pair`
-    describes. Both samplers' configs are checked once; each pair's sample
-    is drawn here, so it needs none of the checks `start_run` makes."""
+    describes."""
     n = family.universe_size
     sight_config = SightConfig(a0, config.k_min, config.k_max)
     rc_config = RcConfig(a0, config.k_min, config.k_max, config.t_max)
-    sight_config.validate(n)
-    rc_config.validate(n)
     seed, pair_ids = config.master_seed, np.arange(start, stop)
     # One row per pair: the (lo, hi) keys of INIT, INIT_NOISE, SIGHT, RC.
     keys = np.hstack([
@@ -199,11 +196,10 @@ def _run_pairs(
         pair_keys = [row[i:i + 2] for i in range(0, 8, 2)]
         for generator, key in zip(generators, pair_keys):
             reset_generator(generator, key)
-        s = sample(range(n), a0, init_rng)
-        oracle = Oracle(family.project(s), config.p_fn)
-        sight_res = _sight(sight_config, oracle, sight_rng, init_noise_rng, s)
+        oracle = Oracle(family.project(sample(range(n), a0, init_rng)), config.p_fn)
+        sight_res = run_sight(n, sight_config, oracle, sight_rng, init_noise_rng)
         reset_generator(init_noise_rng, pair_keys[1])
-        rc_res = _rc(rc_config, oracle, rc_rng, init_noise_rng, s)
+        rc_res = run_rc(n, rc_config, oracle, rc_rng, init_noise_rng)
         pairs.append(PairResult(pair_id=pair_id, sight=sight_res, rc=rc_res))
     return pairs
 

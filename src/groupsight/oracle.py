@@ -10,7 +10,6 @@ positive/negative test ledger.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from collections.abc import Iterator, Mapping, Sequence
@@ -119,7 +118,11 @@ class PlantedFamily:
         return self._index
 
     def project(self, nodes: Sequence[int]) -> FamilyProjection:
-        """The planted sets lying inside `nodes`, as masks over its positions."""
+        """The planted sets lying inside `nodes`, as masks over its positions.
+
+        `nodes` must be distinct integers in [0, universe_size): ints or
+        numpy integers (kept as ints), not bools; otherwise ValidationError.
+        """
         return self._index.project(nodes)
 
     @property
@@ -592,7 +595,8 @@ class Oracle:
     family answers a query given as nodes from its row store, and a
     projection onto a sample S answers a query given as a mask over S's
     positions, the form every test of a run takes, from the masks of the
-    few planted sets inside S.
+    few planted sets inside S. A sampler run reads S from the projection,
+    so it takes only an oracle over one.
     """
 
     family: PlantedFamily | FamilyProjection
@@ -613,22 +617,6 @@ class Oracle:
             return True
         ledger.negatives += 1
         return False
-
-    def _onto(self, nodes: list[int]) -> "Oracle":
-        """This oracle, answering masks over `nodes`: bit i stands for nodes[i].
-
-        One over a projection must be over exactly `nodes` and is returned
-        as it is. One over a whole family is copied with the family
-        projected onto `nodes`; the copy shares the original's attributes,
-        so a subclass's hooks and records carry over.
-        """
-        if isinstance(self.family, FamilyProjection):
-            if self.family.nodes != tuple(nodes):
-                raise ValidationError("the oracle's projection is not onto these nodes")
-            return self
-        projected = copy.copy(self)
-        object.__setattr__(projected, "family", self.family.project(nodes))
-        return projected
 
 
 def sample(pool: Sequence[int], count: int, rng: np.random.Generator) -> list[int]:

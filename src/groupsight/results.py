@@ -10,8 +10,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .backend import FamilyProjection
 from .errors import ValidationError
-from .oracle import KSet, Oracle, TestLedger, sample
+from .oracle import KSet, Oracle, TestLedger
 
 # Registry of the tests already submitted to the oracle this run, each as
 # its mask over the run's sample, with the answer observed.
@@ -76,33 +77,26 @@ def check_window(config, universe_size: int, a0_op: str) -> None:
         raise ValidationError(f"need k_max {a0_op} a0 < universe size")
 
 
-def start_run(
-    universe_size: int, config, rng, init_rng, initial_sample
-) -> tuple[list[int], np.random.Generator]:
-    """Validate `config` and any `initial_sample`; return the initial sample
-    and the initial test's rng. A given sample must hold a0 distinct
-    integers (ints or numpy integers, not bools) in [0, universe_size).
+def start_run(universe_size: int, config, oracle: Oracle) -> int:
+    """Validate `config` and the run's sample, the nodes of the projection
+    `oracle` answers over; return the sample's size, a0.
 
-    The arguments and their defaults are those `run_sight` documents.
+    The projection checked the sample's nodes (see `FamilyIndex.project`).
+    An oracle over a whole family, or over a sample of other than a0
+    nodes, raises ValidationError.
     """
     config.validate(universe_size)
-    init_rng = rng if init_rng is None else init_rng
-    if initial_sample is None:
-        return sample(range(universe_size), config.a0, init_rng), init_rng
-    s = list(initial_sample)
-    if len(s) != config.a0:
-        raise ValidationError("initial_sample must have exactly a0 elements")
-    if not set(map(type, s)) <= {int}:
-        # Slow path for anything but plain ints: numpy integers pass, as ints.
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in s):
-            raise ValidationError("initial_sample members must be integers")
-        s = [int(v) for v in s]
-    if len(set(s)) < len(s):
-        raise ValidationError("initial_sample has a repeated member")
-    if not 0 <= min(s) <= max(s) < universe_size:
-        raise ValidationError("initial_sample member out of range")
-    return s, init_rng
+    if len(sample_of(oracle)) != config.a0:
+        raise ValidationError("the oracle's sample must have exactly a0 nodes")
+    return config.a0
+
+
+def sample_of(oracle: Oracle) -> tuple[int, ...]:
+    """The sample S whose positions `oracle`'s masks are over."""
+    if not isinstance(oracle.family, FamilyProjection):
+        raise ValidationError("a run's oracle must be over a family projected "
+                              "onto its sample")
+    return oracle.family.nodes
 
 
 @cache
@@ -121,18 +115,18 @@ def ask(query: int, oracle: Oracle, ledger: TestLedger,
 
 
 def bottom_up(
-    nodes: Sequence[int], bits: Sequence[int], sizes: range, oracle: Oracle,
-    ledger: TestLedger, rng: np.random.Generator,
-    tested: Optional[TestedRegistry] = None,
+    bits: Sequence[int], sizes: range, oracle: Oracle, ledger: TestLedger,
+    rng: np.random.Generator, tested: Optional[TestedRegistry] = None,
 ) -> KSet | None:
     """First subset of the members `bits` to test defective, as node ids,
-    else None. Bit i stands for nodes[i].
+    else None. Bit i stands for node S[i] of the oracle's sample S.
 
     Sizes are scanned in ascending order, the subsets of each size in
     uniformly random order; the tiers list them as `combinations` of the
     members sorted by node id. With a `tested` registry, subsets already
     in it are skipped for free and every new answer is recorded there.
     """
+    nodes = sample_of(oracle)
     ordered = [bit for _, bit in sorted((nodes[b.bit_length() - 1], b) for b in bits)]
     for k in sizes:
         tier = list(combinations(ordered, k))

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent brute-force oracles and builders.
+"""Shared test helpers: independent brute-force oracles, builders, and
+the way a caller hands a sampler run its sample.
 
 The brute-force implementations here deliberately avoid the package's
 indexed query path so they can serve as independent references.
@@ -11,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from groupsight import PlantedFamily
+from groupsight import Oracle, PlantedFamily, bin_search, sample
 
 
 def brute_truth(planted, nodes) -> bool:
@@ -37,6 +38,31 @@ def mask_of(sample, nodes) -> int:
 def nodes_of(sample, mask) -> frozenset:
     """The nodes of `sample` whose bits `mask` sets."""
     return frozenset(v for i, v in enumerate(sample) if mask >> i & 1)
+
+
+def bits_of(sample) -> list[int]:
+    """The bit of each node of `sample`: 1, 2, 4, ..."""
+    return [1 << i for i in range(len(sample))]
+
+
+def oracle_over(family, sample, p_fn=0.0, oracle=Oracle):
+    """An `oracle` over `family` projected onto `sample`, as a run takes one."""
+    return oracle(family.project(sample), p_fn)
+
+
+def run_drawn(run, config, family, rng, init_rng, p_fn=0.0):
+    """`run` (`run_sight` or `run_rc`) on a sample of a0 nodes that
+    `init_rng` draws from the whole universe before the initial test's
+    noise draw, as a run's caller draws it."""
+    s = sample(range(family.universe_size), config.a0, init_rng)
+    return run(family.universe_size, config, oracle_over(family, s, p_fn), rng, init_rng)
+
+
+def search_nodes(family, s, d, ledger, rng) -> int:
+    """`bin_search` for the least m with d + s[:m] defective, given as
+    nodes: the oracle is over s + d, bit i for s[i], bit len(s) + j for d[j]."""
+    s, d = list(s), list(d)
+    return bin_search(len(s), mask_of(s + d, d), oracle_over(family, s + d), ledger, rng)
 
 
 def brute_is_antichain(planted) -> bool:
@@ -86,11 +112,13 @@ def all_subsets(nodes, k_min, k_max):
 # Initial samples of a0 = 8 over 40 nodes that a run must reject. Each
 # once read as a sample holding the planted pair {1, 32}: floats and
 # bools were coerced by int(), and a repeated node was charged as if the
-# sample had a0 distinct members.
+# sample had a0 distinct members. A node too large for int64 once raised
+# OverflowError in a whole-family query.
 MALFORMED_SAMPLES = {
     "float": [1.9, 2.2, 1.0, 32.0, 5.0, 6.0, 7.0, 8.0],
     "bool": [True, 32, 2, 3, 4, 5, 6, 7],
     "repeat": [1] * 7 + [32],
     "negative": [-1, 1, 32, 3, 4, 5, 6, 7],
     "too-large": [40, 1, 32, 3, 4, 5, 6, 7],
+    "beyond-int64": [2**64, 1, 32, 3, 4, 5, 6, 7],
 }

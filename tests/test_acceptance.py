@@ -27,7 +27,6 @@ from groupsight import (
     ROLE_SIGHT,
     RunOutcome,
     SightConfig,
-    bin_search,
     build_schedule,
     expected_planted_count,
     generate_family,
@@ -48,7 +47,12 @@ from groupsight.cli import main as cli_main
 from groupsight.oracle import _draw_sets
 from groupsight.rng import reset_generator, stream_keys
 
-from conftest import brute_least_defective_prefix, random_antichain_family
+from conftest import (
+    brute_least_defective_prefix,
+    oracle_over,
+    random_antichain_family,
+    search_nodes,
+)
 
 A0_GRID = (16, 48, 80, 112, 144, 176)
 LARGEST_FOUR = A0_GRID[2:]
@@ -137,15 +141,11 @@ def test_criterion_1_bound_compliance():
                     s = sample(range(256), a0, init)
                     oracle = Oracle(family.project(s), p_fn)
                     reset_generator(sight_rng, sight_keys[j])
-                    sres = run_sight(
-                        256, scfg, oracle, sight_rng, init_rng=init, initial_sample=s,
-                    )
+                    sres = run_sight(256, scfg, oracle, sight_rng, init)
                     reset_generator(init, init_keys[j])
                     sample(range(256), a0, init)
                     reset_generator(rc_rng, rc_keys[j])
-                    rres = run_rc(
-                        256, rcfg, oracle, rc_rng, init_rng=init, initial_sample=s,
-                    )
+                    rres = run_rc(256, rcfg, oracle, rc_rng, init)
                     total_runs += 2
                     if sres.ledger.total > s_bound:
                         violations += 1
@@ -185,9 +185,7 @@ def test_criterion_2_minimality_oracle():
                 init = spawn_generator(71, families, j, ROLE_INIT)
                 s = sample(range(n), a0, init)
                 res = runner(
-                    n, cfg, Oracle(fam.project(s), 0.0),
-                    spawn_generator(71, families, j, role),
-                    init_rng=init, initial_sample=s,
+                    n, cfg, oracle_over(fam, s), spawn_generator(71, families, j, role), init,
                 )
                 if res.outcome is RunOutcome.FOUND:
                     finds += 1
@@ -201,7 +199,8 @@ def test_criterion_2_minimality_oracle():
 
 
 def test_criterion_3_binsearch_matches_brute_force():
-    """Search result equals least defective prefix, within the log budget."""
+    """The search over masks returns the least defective prefix that a
+    brute force over nodes finds, within the log budget."""
     pyrng = random.Random(424242)
     rng = spawn_generator(72, 0)
     instances = 0
@@ -221,7 +220,7 @@ def test_criterion_3_binsearch_matches_brute_force():
         if expected is None:
             continue
         ledger = Ledger()
-        got = bin_search(s, d, Oracle(fam, 0.0), ledger, rng)
+        got = search_nodes(fam, s, d, ledger, rng)
         instances += 1
         if got != expected:
             mismatches += 1

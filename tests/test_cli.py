@@ -85,6 +85,23 @@ class TestBounds:
     def test_tiny_a0_rejected(self, capsys):
         assert run_cli(["bounds", "--a0", "1"]) == 2
 
+    def test_k_max_below_two_rejected(self):
+        # Its schedule once never ended and grew until the process was
+        # killed, so the command runs in a child under a time and memory cap.
+        pytest.importorskip("resource")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from groupsight.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "bounds", "--a0", "10", "--kmax", "1"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "k_max must be at least 2" in proc.stderr
+
 
 class TestRun:
     def test_grid_produces_expected_summary_rows(self, family_file, tmp_path, capsys):

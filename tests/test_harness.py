@@ -16,7 +16,6 @@ from groupsight import (
     ROLE_RC,
     ROLE_SIGHT,
     ExperimentConfig,
-    Oracle,
     PairResult,
     RcConfig,
     RunOutcome,
@@ -42,7 +41,7 @@ from groupsight.harness import (
     write_summary_csv,
 )
 
-from conftest import make_family
+from conftest import make_family, oracle_over
 
 
 class InlinePool:
@@ -153,31 +152,30 @@ class TestRunPair:
             agreements += pair.sight.outcome is RunOutcome.ABORT_INITIAL
         assert 0 < agreements < 120
 
-    def test_matches_samplers_run_on_the_full_oracle(self):
+    def test_matches_samplers_run_alone(self):
         self.check_against_lone_runs({2: 10, 3: 10, 5: 300}, k_max=4)
 
-    def test_matches_samplers_run_on_the_full_oracle_at_k_max_6(self):
+    def test_matches_samplers_run_alone_at_k_max_6(self):
         # The registry holds the sets of 5 and 6 nodes too.
         sizes = self.check_against_lone_runs({2: 4, 3: 6, 5: 40, 6: 60, 7: 3000}, k_max=6)
         assert {5, 6} <= sizes
 
     @staticmethod
     def check_against_lone_runs(counts, k_max):
-        # A pair answers from the family projected onto its initial sample,
-        # shares one initial-test noise draw between its two sides and
-        # checks its sample once; each side must still equal that sampler
-        # run alone, through its public entry point, on the full family
-        # with its own INIT and INIT_NOISE generators.
+        # A pair derives all its streams' keys in one pass, reuses four
+        # generators and shares one initial-test noise draw between its two
+        # sides; each side must still equal that sampler run alone, on an
+        # oracle over the same sample, with generators from `spawn_generator`.
         fam = generate_family(60, counts, seed=31)
         cfg = ExperimentConfig(
             a0_grid=(8, 16, 32), runs_per_cell=1, k_max=k_max, p_fn=0.05,
             master_seed=7,
         )
-        oracle = Oracle(fam, cfg.p_fn)
         seed = cfg.master_seed
 
-        def initial(a0, j):
-            return sample(range(fam.universe_size), a0, spawn_generator(seed, a0, j, ROLE_INIT))
+        def oracle(a0, j):
+            init = spawn_generator(seed, a0, j, ROLE_INIT)
+            return oracle_over(fam, sample(range(fam.universe_size), a0, init), cfg.p_fn)
 
         outcomes, sizes = set(), set()
         for a0 in cfg.a0_grid:
@@ -186,18 +184,16 @@ class TestRunPair:
                 sight = run_sight(
                     fam.universe_size,
                     SightConfig(a0, cfg.k_min, cfg.k_max),
-                    oracle,
+                    oracle(a0, j),
                     spawn_generator(seed, a0, j, ROLE_SIGHT),
-                    initial_sample=initial(a0, j),
-                    init_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
+                    spawn_generator(seed, j, ROLE_INIT_NOISE),
                 )
                 rc = run_rc(
                     fam.universe_size,
                     RcConfig(a0, cfg.k_min, cfg.k_max, cfg.t_max),
-                    oracle,
+                    oracle(a0, j),
                     spawn_generator(seed, a0, j, ROLE_RC),
-                    initial_sample=initial(a0, j),
-                    init_rng=spawn_generator(seed, j, ROLE_INIT_NOISE),
+                    spawn_generator(seed, j, ROLE_INIT_NOISE),
                 )
                 assert pair.sight == sight
                 assert pair.rc == rc

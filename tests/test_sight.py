@@ -18,6 +18,7 @@ from groupsight import (
     bottom_up_sight,
     generate_family,
     run_sight,
+    sample,
     sight_max_positive,
     sight_max_tests,
     spawn_generator,
@@ -26,11 +27,15 @@ from groupsight import TestLedger as Ledger
 
 from conftest import (
     MALFORMED_SAMPLES,
+    bits_of,
     brute_least_defective_prefix,
     make_family,
     mask_of,
     nodes_of,
+    oracle_over,
     random_antichain_family,
+    run_drawn,
+    search_nodes,
 )
 
 
@@ -42,12 +47,9 @@ def rngs(seed, j=0):
 
 
 class RecordingOracle(Oracle):
-    """Oracle that logs every charged test, as the node set it names, with
-    its answer.
-
-    A run asks a copy of it over the family projected onto the run's
-    sample, which shares this log; each test is a mask over that sample
-    and is logged decoded back to nodes.
+    """Oracle over a family projected onto a run's sample that logs every
+    charged test, a mask over that sample, decoded back to the node set
+    it names, with its answer.
     """
 
     def __init__(self, family, p_fn=0.0):
@@ -65,7 +67,7 @@ class TestBinSearch:
         fam = make_family(9, [{0, 1}])
         ledger = Ledger()
         rng, _ = rngs(1)
-        assert bin_search([5], [0, 1], Oracle(fam), ledger, rng) == 1
+        assert search_nodes(fam, [5], [0, 1], ledger, rng) == 1
         assert ledger.total == 0
 
     def test_pair_at_positions_two_and_five(self):
@@ -74,7 +76,7 @@ class TestBinSearch:
         s = [0, 1, 2, 3, 4, 5, 6, 7]
         ledger = Ledger()
         rng, _ = rngs(2)
-        assert bin_search(s, [], Oracle(fam), ledger, rng) == 5
+        assert bin_search(len(s), 0, oracle_over(fam, s), ledger, rng) == 5
         assert (ledger.positives, ledger.negatives) == (2, 1)
 
     def test_accumulated_node_completing_first_element(self):
@@ -82,12 +84,12 @@ class TestBinSearch:
         s = [0, 1, 2, 3, 4, 5, 6, 7]
         ledger = Ledger()
         rng, _ = rngs(3)
-        assert bin_search(s, [9], Oracle(fam), ledger, rng) == 1
+        assert search_nodes(fam, s, [9], ledger, rng) == 1
 
     def test_empty_list_raises(self):
         fam = make_family(4, [{0, 1}])
         with pytest.raises(EmptySelectionError):
-            bin_search([], [], Oracle(fam), Ledger(), rngs(4)[0])
+            bin_search(0, 0, oracle_over(fam, []), Ledger(), rngs(4)[0])
 
     def test_matches_brute_force_least_prefix_and_log_test_budget(self):
         pyrng = random.Random(31337)
@@ -107,7 +109,7 @@ class TestBinSearch:
             if expected is None:
                 continue
             ledger = Ledger()
-            got = bin_search(s, d, Oracle(fam), ledger, rng)
+            got = search_nodes(fam, s, d, ledger, rng)
             assert got == expected
             assert ledger.total <= math.ceil(math.log2(len(s))) if len(s) > 1 else ledger.total == 0
             checked += 1
@@ -118,7 +120,8 @@ class TestBottomUpSight:
         fam = make_family(10, [{3, 7}])
         ledger = Ledger()
         rng, _ = rngs(6)
-        out = bottom_up_sight([7, 3], 2, 4, {}, Oracle(fam), ledger, rng)
+        d = [7, 3]
+        out = bottom_up_sight(bits_of(d), 2, 4, {}, oracle_over(fam, d), ledger, rng)
         assert out == (3, 7)
         assert ledger.total == 0
 
@@ -126,7 +129,8 @@ class TestBottomUpSight:
         fam = make_family(10, [{1, 3}])
         ledger = Ledger()
         rng, _ = rngs(7)
-        out = bottom_up_sight([0, 1, 2, 3], 2, 4, {}, Oracle(fam), ledger, rng)
+        d = [0, 1, 2, 3]
+        out = bottom_up_sight(bits_of(d), 2, 4, {}, oracle_over(fam, d), ledger, rng)
         assert out == (1, 3)
         assert ledger.total <= 6  # C(4,2)
         assert ledger.positives == 1
@@ -135,7 +139,8 @@ class TestBottomUpSight:
         fam = make_family(10, [{0, 1, 2}])
         ledger = Ledger()
         rng, _ = rngs(8)
-        out = bottom_up_sight([0, 1, 2], 2, 4, {}, Oracle(fam), ledger, rng)
+        d = [0, 1, 2]
+        out = bottom_up_sight(bits_of(d), 2, 4, {}, oracle_over(fam, d), ledger, rng)
         assert out == (0, 1, 2)
         assert (ledger.positives, ledger.negatives) == (0, 3)
 
@@ -145,7 +150,7 @@ class TestBottomUpSight:
         rng, _ = rngs(9)
         d = [2, 0, 3, 1]
         tested = {mask_of(d, p): False for p in [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]}
-        out = bottom_up_sight(d, 2, 4, tested, Oracle(fam), ledger, rng)
+        out = bottom_up_sight(bits_of(d), 2, 4, tested, oracle_over(fam, d), ledger, rng)
         assert out == (1, 3)
         assert ledger.total == 1  # only the one unregistered pair
 
@@ -154,7 +159,7 @@ class TestRunSight:
     def test_empty_family_aborts_on_initial_test(self):
         fam = generate_family(20, {}, seed=0)
         rng, init = rngs(10)
-        res = run_sight(20, SightConfig(a0=8), Oracle(fam), rng, init_rng=init)
+        res = run_drawn(run_sight, SightConfig(a0=8), fam, rng, init)
         assert res.outcome is RunOutcome.ABORT_INITIAL
         assert (res.ledger.positives, res.ledger.negatives) == (0, 1)
         assert res.found is None
@@ -166,8 +171,8 @@ class TestRunSight:
         fam = make_family(9, [{1, 4}])
         rng, init = rngs(11)
         res = run_sight(
-            9, SightConfig(a0=8, k_min=2, k_max=4), Oracle(fam), rng,
-            init_rng=init, initial_sample=[0, 1, 2, 3, 4, 5, 6, 7],
+            9, SightConfig(a0=8, k_min=2, k_max=4),
+            oracle_over(fam, [0, 1, 2, 3, 4, 5, 6, 7]), rng, init,
         )
         assert res.outcome is RunOutcome.FOUND
         assert res.found == (1, 4)
@@ -180,8 +185,8 @@ class TestRunSight:
         fam = make_family(9, [{0, 1}])
         rng, init = rngs(12)
         res = run_sight(
-            9, SightConfig(a0=8, k_min=2, k_max=4), Oracle(fam), rng,
-            init_rng=init, initial_sample=[0, 1, 2, 3, 4, 5, 6, 7],
+            9, SightConfig(a0=8, k_min=2, k_max=4),
+            oracle_over(fam, [0, 1, 2, 3, 4, 5, 6, 7]), rng, init,
         )
         assert res.outcome is RunOutcome.FOUND
         assert res.found == (0, 1)
@@ -191,8 +196,8 @@ class TestRunSight:
         fam = make_family(9, [{0, 1, 2, 3, 4}])
         rng, init = rngs(13)
         res = run_sight(
-            9, SightConfig(a0=8, k_min=2, k_max=4), Oracle(fam), rng,
-            init_rng=init, initial_sample=[0, 1, 2, 3, 4, 5, 6, 7],
+            9, SightConfig(a0=8, k_min=2, k_max=4),
+            oracle_over(fam, [0, 1, 2, 3, 4, 5, 6, 7]), rng, init,
         )
         assert res.outcome is RunOutcome.ABORT_TOO_LARGE
         assert res.found is None
@@ -203,29 +208,41 @@ class TestRunSight:
         fam = make_family(9, [{0, 1}])
         rng, init = rngs(14)
         res = run_sight(
-            9, SightConfig(a0=8, k_min=3, k_max=4), Oracle(fam), rng,
-            init_rng=init, initial_sample=[0, 1, 2, 3, 4, 5, 6, 7],
+            9, SightConfig(a0=8, k_min=3, k_max=4),
+            oracle_over(fam, [0, 1, 2, 3, 4, 5, 6, 7]), rng, init,
         )
         assert res.outcome is RunOutcome.ABORT_TOO_LARGE
         assert (res.ledger.positives, res.ledger.negatives) == (3, 1)
 
     def test_config_validation(self):
+        # Each oracle is over a sample of a0 nodes, so only the config is at fault.
         fam = make_family(10, [{0, 1}])
-        with pytest.raises(ValidationError):
-            run_sight(10, SightConfig(a0=10), Oracle(fam), rngs(15)[0])
-        with pytest.raises(ValidationError):
-            run_sight(10, SightConfig(a0=3, k_min=2, k_max=4), Oracle(fam), rngs(15)[0])
-        with pytest.raises(ValidationError):
-            run_sight(10, SightConfig(a0=8, k_min=1, k_max=2), Oracle(fam), rngs(15)[0])
+        rng, init = rngs(15)
+        for cfg in (SightConfig(a0=10), SightConfig(a0=3, k_min=2, k_max=4),
+                    SightConfig(a0=8, k_min=1, k_max=2)):
+            with pytest.raises(ValidationError):
+                run_sight(10, cfg, oracle_over(fam, list(range(cfg.a0))), rng, init)
+        # A run takes its sample from the oracle's projection, of a0 nodes.
+        with pytest.raises(ValidationError, match="projected"):
+            run_sight(10, SightConfig(a0=8), Oracle(fam), rng, init)
+        with pytest.raises(ValidationError, match="a0"):
+            run_sight(10, SightConfig(a0=8), oracle_over(fam, list(range(7))), rng, init)
 
     @pytest.mark.parametrize("initial", MALFORMED_SAMPLES.values(),
                              ids=MALFORMED_SAMPLES.keys())
     def test_malformed_initial_sample_rejected(self, initial):
+        # The projection is the gate for a sample, and the whole-family
+        # queries share its node checks; only a repeated node is fine in a
+        # query.
         fam = make_family(40, [{1, 32}])
         rng, init = rngs(16)
         with pytest.raises(ValidationError):
-            run_sight(40, SightConfig(a0=8), Oracle(fam), rng,
-                      init_rng=init, initial_sample=initial)
+            run_sight(40, SightConfig(a0=8), oracle_over(fam, initial), rng, init)
+        if len(set(initial)) == len(initial):
+            with pytest.raises(ValidationError):
+                fam.contains_defective(initial)
+            with pytest.raises(ValidationError):
+                fam.count_contained(initial, 2)
 
     def test_numpy_initial_sample_runs_as_ints(self):
         fam = make_family(40, [{1, 32}])
@@ -233,8 +250,7 @@ class TestRunSight:
         runs = []
         for nodes in (initial, np.array(initial, dtype=np.uint16)):
             rng, init = rngs(17)
-            runs.append(run_sight(40, SightConfig(a0=8), Oracle(fam), rng,
-                                  init_rng=init, initial_sample=nodes))
+            runs.append(run_sight(40, SightConfig(a0=8), oracle_over(fam, nodes), rng, init))
         assert runs[0] == runs[1]
         assert runs[1].found == (1, 32)
         assert all(type(v) is int for v in runs[1].found)
@@ -243,10 +259,10 @@ class TestRunSight:
         fam = generate_family(40, {2: 6, 3: 4, 5: 3}, seed=21)
         for j in range(20):
             runs = [
-                run_sight(
-                    40, SightConfig(a0=16), Oracle(fam, 0.1),
+                run_drawn(
+                    run_sight, SightConfig(a0=16), fam,
                     spawn_generator(9, 0, j, ROLE_SIGHT),
-                    init_rng=spawn_generator(9, 0, j, ROLE_INIT),
+                    spawn_generator(9, 0, j, ROLE_INIT), 0.1,
                 )
                 for _ in range(2)
             ]
@@ -259,10 +275,10 @@ class TestRunSight:
             n = pyrng.randrange(10, 30)
             fam = random_antichain_family(pyrng, n, max_sets=12)
             a0 = pyrng.randrange(4, n)
-            res = run_sight(
-                n, SightConfig(a0=a0, k_min=2, k_max=4), Oracle(fam),
+            res = run_drawn(
+                run_sight, SightConfig(a0=a0, k_min=2, k_max=4), fam,
                 spawn_generator(50, trial, ROLE_SIGHT),
-                init_rng=spawn_generator(50, trial, ROLE_INIT),
+                spawn_generator(50, trial, ROLE_INIT),
             )
             if res.outcome is RunOutcome.FOUND:
                 found_something += 1
@@ -275,10 +291,10 @@ class TestRunSight:
             n = pyrng.randrange(10, 30)
             fam = random_antichain_family(pyrng, n, max_sets=12)
             a0 = pyrng.randrange(4, n)
-            res = run_sight(
-                n, SightConfig(a0=a0, k_min=2, k_max=4), Oracle(fam, 0.15),
+            res = run_drawn(
+                run_sight, SightConfig(a0=a0, k_min=2, k_max=4), fam,
                 spawn_generator(51, trial, ROLE_SIGHT),
-                init_rng=spawn_generator(51, trial, ROLE_INIT),
+                spawn_generator(51, trial, ROLE_INIT), 0.15,
             )
             if res.outcome is RunOutcome.FOUND:
                 assert fam.contains_defective(res.found)
@@ -292,11 +308,11 @@ class TestRunSight:
             n = pyrng.randrange(10, 30)
             fam = random_antichain_family(pyrng, n, max_sets=12)
             a0 = pyrng.randrange(4, n)
-            oracle = RecordingOracle(fam, 0.2)
+            init = spawn_generator(52, trial, ROLE_INIT)
+            oracle = oracle_over(fam, sample(range(n), a0, init), 0.2, RecordingOracle)
             res = run_sight(
                 n, SightConfig(a0=a0, k_min=2, k_max=4), oracle,
-                spawn_generator(52, trial, ROLE_SIGHT),
-                init_rng=spawn_generator(52, trial, ROLE_INIT),
+                spawn_generator(52, trial, ROLE_SIGHT), init,
             )
             assert len(oracle.log) == res.ledger.total
             if res.outcome is not RunOutcome.FOUND:
@@ -312,15 +328,14 @@ class TestRunSight:
     @pytest.mark.parametrize("a0,k_max", [(8, 2), (16, 3), (48, 4)])
     def test_ledger_bounds_over_randomized_runs(self, a0, k_max, p_fn):
         fam = generate_family(64, {2: 10, 3: 12, 4: 14, 5: 16, 6: 10}, seed=33)
-        oracle = Oracle(fam, p_fn)
         cfg = SightConfig(a0=a0, k_min=2, k_max=k_max)
         total_bound = sight_max_tests(a0, 2, k_max)
         pos_bound = sight_max_positive(a0, k_max)
         for j in range(300):
-            res = run_sight(
-                64, cfg, oracle,
+            res = run_drawn(
+                run_sight, cfg, fam,
                 spawn_generator(52, a0, j, ROLE_SIGHT),
-                init_rng=spawn_generator(52, a0, j, ROLE_INIT),
+                spawn_generator(52, a0, j, ROLE_INIT), p_fn,
             )
             assert res.ledger.total <= total_bound
             assert res.positives_pre_bottom_up <= pos_bound
