@@ -69,14 +69,13 @@ class FamilyIndex:
         planted: Sequence[Sequence[int]] | np.ndarray,
         sizes: np.ndarray | None = None,
     ):
+        if sizes is None:
+            flat, sizes = _members(universe_size, planted)
+        else:
+            flat, sizes = np.asarray(planted), np.asarray(sizes)
         if universe_size < 1:
             raise ValidationError("universe_size must be positive")
         column = np.min_scalar_type(universe_size)
-        if sizes is None:
-            sizes = np.fromiter(map(len, planted), dtype=np.intp, count=len(planted))
-            flat = _members(planted, int(sizes.sum()), column)
-        else:
-            flat, sizes = np.asarray(planted), np.asarray(sizes)
         ends = np.cumsum(sizes, dtype=np.intp)
         # A call of its own, so that its arrays are freed before the columns
         # are made: on large families these steps set the peak RSS.
@@ -195,11 +194,14 @@ def _integers(nodes: Collection[int]) -> Sequence[int]:
                 return nodes
         except TypeError:
             pass
-    if not (isinstance(nodes, Collection) and all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in nodes
-    )):
+    if not (isinstance(nodes, Collection) and all(map(_is_integer, nodes))):
         raise ValidationError("nodes must be a collection of integers")
     return [int(v) for v in nodes]
+
+
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_sets(
@@ -239,15 +241,30 @@ def _first_true(mask: np.ndarray) -> int | None:
     return i if mask.size and mask[i] else None
 
 
-def _members(planted: Sequence[Sequence[int]], count: int, column) -> np.ndarray:
-    """The members of every set of `planted`, one after another.
+def _members(
+    universe_size: int, planted: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The members of every set of `planted`, one after another, and the
+    sets' sizes.
 
-    A member outside the `column` type is out of range; int64 holds it
+    `universe_size` and every member must be an integer, as each node
+    `_inside` takes is, or ValidationError is raised. A member outside
+    the column type of `universe_size` is out of range; int64 holds it
     for the checks that name the first offending set.
     """
-    for dtype in (column, np.int64):
+    if not _is_integer(universe_size):
+        raise ValidationError("universe_size must be an integer")
+    # The types are gathered at C speed, and tested member by member only
+    # when some member is not an int exactly.
+    if not (set(map(type, chain.from_iterable(planted))) <= {int}
+            or all(map(_is_integer, chain.from_iterable(planted)))):
+        raise ValidationError("planted set members must be integers")
+    sizes = np.fromiter(map(len, planted), dtype=np.intp, count=len(planted))
+    for dtype in (np.min_scalar_type(universe_size), np.int64):
         try:
-            return np.fromiter(chain.from_iterable(planted), dtype=dtype, count=count)
+            flat = np.fromiter(chain.from_iterable(planted), dtype=dtype,
+                               count=int(sizes.sum()))
+            return flat, sizes
         except OverflowError:
             pass
     raise ValidationError("planted set member out of range")

@@ -28,6 +28,7 @@ import json
 import math
 import os
 import statistics
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -262,9 +263,10 @@ def amortize(
     exactly: amortized totals plus residue equal the summed run ledgers.
     """
     records: list[FindRecord] = []
-    pending_pos = 0
-    pending_neg = 0
+    pending = TestLedger()
     for pair_id, res in enumerate(results):
+        pending.positives += res.ledger.positives
+        pending.negatives += res.ledger.negatives
         if res.is_find:
             assert res.found is not None
             records.append(
@@ -276,16 +278,21 @@ def amortize(
                     k=len(res.found),
                     own_positives=res.ledger.positives,
                     own_negatives=res.ledger.negatives,
-                    amortized_positives=res.ledger.positives + pending_pos,
-                    amortized_negatives=res.ledger.negatives + pending_neg,
+                    amortized_positives=pending.positives,
+                    amortized_negatives=pending.negatives,
                 )
             )
-            pending_pos = 0
-            pending_neg = 0
-        else:
-            pending_pos += res.ledger.positives
-            pending_neg += res.ledger.negatives
-    return records, TestLedger(positives=pending_pos, negatives=pending_neg)
+            pending = TestLedger()
+    return records, pending
+
+
+# Each amortized metric of a find record, after the suffix of the summary
+# fields med_*, u_* and p_* that report it.
+_AMORTIZED = (
+    ("total", "amortized_total"),
+    ("pos", "amortized_positives"),
+    ("neg", "amortized_negatives"),
+)
 
 
 def summarize_cell(
@@ -312,43 +319,27 @@ def summarize_cell(
         else None
     )
 
-    def u_test(metric: str):
-        """Mann-Whitney of sight's vs rc's `metric`, or None if either has no find."""
-        x, y = ([getattr(r, metric) for r in records[alg]] for alg in ("sight", "rc"))
-        return mann_whitney_u(x, y) if x and y else None
-
-    mw_t, mw_p, mw_n = map(
-        u_test, ("amortized_total", "amortized_positives", "amortized_negatives")
-    )
+    # Per algorithm, the median, U and p of each metric. One test per
+    # metric: the rc row reports rc's U and the shared p.
+    fields: dict[str, dict] = {alg: {} for alg in by_alg}
+    for name, metric in _AMORTIZED:
+        x, y = ([getattr(r, metric) for r in records[alg]] for alg in by_alg)
+        mw = mann_whitney_u(x, y) if x and y else None
+        for alg, values, u in (("sight", x, "u_x"), ("rc", y, "u_y")):
+            fields[alg][f"med_{name}"] = (
+                float(statistics.median(values)) if values else None
+            )
+            fields[alg][f"u_{name}"] = None if mw is None else getattr(mw, u)
+            fields[alg][f"p_{name}"] = None if mw is None else mw.p_value
 
     summaries = []
-    for alg in ("sight", "rc"):
-        results = by_alg[alg]
-        recs = records[alg]
+    for alg, results in by_alg.items():
         runs = len(results)
+        finds = len(records[alg])
         init_fails = sum(1 for r in results if r.outcome is RunOutcome.ABORT_INITIAL)
-        mid_aborts = sum(
-            1
-            for r in results
-            if not r.is_find and r.outcome is not RunOutcome.ABORT_INITIAL
-        )
         conditioned = runs - init_fails
-        finds = len(recs)
-        if finds:
-            med_pos = float(statistics.median(r.amortized_positives for r in recs))
-            med_neg = float(statistics.median(r.amortized_negatives for r in recs))
-            med_total = float(statistics.median(r.amortized_total for r in recs))
-            k_props = {}
-            for r in recs:
-                k_props[r.k] = k_props.get(r.k, 0) + 1
-            k_props = {k: c / finds for k, c in sorted(k_props.items())}
-            costs = {float(rho): med_pos * rho + med_neg for rho in rhos}
-        else:
-            med_pos = med_neg = med_total = None
-            k_props = {}
-            costs = {}
-        # One test per metric: the rc row reports rc's U and the shared p.
-        u = "u_x" if alg == "sight" else "u_y"
+        sizes = Counter(r.k for r in records[alg])
+        metrics = fields[alg]
         summaries.append(
             CellSummary(
                 algorithm=alg,
@@ -357,19 +348,16 @@ def summarize_cell(
                 runs=runs,
                 finds=finds,
                 init_fail_rate=init_fails / runs,
-                abort_rate=(mid_aborts / conditioned) if conditioned else None,
-                med_pos=med_pos,
-                med_neg=med_neg,
-                med_total=med_total,
-                k_proportions=k_props,
+                # Every run that passed the initial test and found nothing
+                # aborted mid-run.
+                abort_rate=(conditioned - finds) / conditioned if conditioned else None,
+                k_proportions={k: c / finds for k, c in sorted(sizes.items())},
                 prop_identical=prop_identical,
-                costs=costs,
-                u_total=None if mw_t is None else getattr(mw_t, u),
-                p_total=None if mw_t is None else mw_t.p_value,
-                u_pos=None if mw_p is None else getattr(mw_p, u),
-                p_pos=None if mw_p is None else mw_p.p_value,
-                u_neg=None if mw_n is None else getattr(mw_n, u),
-                p_neg=None if mw_n is None else mw_n.p_value,
+                costs={
+                    float(rho): metrics["med_pos"] * rho + metrics["med_neg"]
+                    for rho in rhos
+                } if finds else {},
+                **metrics,
             )
         )
     return summaries[0], summaries[1]
@@ -447,11 +435,6 @@ def _columns(
         *fields(("U", "u_total"), ("p_value", "p_total"), ("U_pos", "u_pos"),
                 ("p_value_pos", "p_pos"), ("U_neg", "u_neg"), ("p_value_neg", "p_neg")),
     ]
-
-
-def csv_header(rhos: Sequence[float] = DEFAULT_RHOS, k_top: int = 4) -> list[str]:
-    """Summary CSV columns, with found-size proportions p2..p{k_top}."""
-    return [name for name, _ in _columns(rhos, k_top)]
 
 
 def write_summary_csv(

@@ -15,7 +15,7 @@ import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -43,11 +43,14 @@ class PlantedFamily:
     The sets live in the row store (`backend.FamilyIndex`), which checks
     them on construction and answers every query; a pickled family
     carries the store alone. `planted` holds them as canonical (strictly
-    ascending) tuples over the node range [0, universe_size). A family
-    built from tuples keeps the ones given; one generated, loaded or
-    unpickled makes them from the store when `planted` is first read,
-    and keeps them. The store is not a constructor argument, so
-    `dataclasses.replace` builds it afresh for the new sets.
+    ascending) tuples over the node range [0, universe_size). The
+    universe size and every member must be an int or a numpy integer,
+    not a bool; the universe size is kept as an int. A family built from
+    sets given as sequences keeps them as a tuple of tuples; one
+    generated, loaded or unpickled makes them from the store when
+    `planted` is first read, and keeps them. The store is not a
+    constructor argument, so `dataclasses.replace` builds it afresh for
+    the new sets.
     """
 
     universe_size: int
@@ -61,6 +64,8 @@ class PlantedFamily:
         object.__setattr__(
             self, "_index", backend.FamilyIndex(self.universe_size, self.planted)
         )
+        object.__setattr__(self, "universe_size", int(self.universe_size))
+        object.__setattr__(self, "planted", tuple(map(tuple, self.planted)))
 
     @classmethod
     def _of_store(cls, store: backend.FamilyIndex, seed: int | None) -> "PlantedFamily":
@@ -187,8 +192,10 @@ class PlantedFamily:
     def from_json_dict(cls, data: Mapping) -> "PlantedFamily":
         """Family of a JSON record; every number in it must be an exact integer.
 
-        The row store is built from the record's lists, with no tuple per
-        set: `planted` is made when first read, as for a generated family.
+        The members are read, and checked, as the constructor reads them
+        (`backend._members`), and the row store is built from them with no
+        tuple per set: `planted` is made when first read, as for a
+        generated family.
         """
         try:
             universe_size = data["universe_size"]
@@ -196,21 +203,17 @@ class PlantedFamily:
             seed = data.get("seed")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed family record: {exc}") from exc
-        # Each check gathers the types at C speed and tests value by value
-        # only when some value is not of the expected type exactly.
+        # The types are gathered at C speed, and tested list by list only
+        # when some set is not a list exactly.
         if not (isinstance(planted, list) and (
             set(map(type, planted)) <= {list}
             or all(isinstance(p, list) for p in planted)
         )):
             raise ValidationError("family record 'planted' is not a list of lists")
-        if not _is_int(universe_size):
-            raise ValidationError("family record 'universe_size' is not an integer")
-        if not (set(map(type, chain.from_iterable(planted))) <= {int}
-                or all(map(_is_int, chain.from_iterable(planted)))):
-            raise ValidationError("family record 'planted' has a non-integer member")
+        members, sizes = backend._members(universe_size, planted)
         if seed is not None and not _is_int(seed):
             raise ValidationError("family record 'seed' is not null or an integer")
-        return cls._validated(backend.FamilyIndex(universe_size, planted), seed)
+        return cls._validated(backend.FamilyIndex(universe_size, members, sizes), seed)
 
     @classmethod
     def _validated(cls, store: backend.FamilyIndex, seed: int | None) -> "PlantedFamily":
@@ -520,24 +523,6 @@ def _heads(ordered: np.ndarray) -> np.ndarray:
     return heads
 
 
-def _merged(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """The sorted distinct `keys` with each of the `new` keys, none among
-    them, added once; `new` is sorted in place.
-
-    The merge is what `np.insert` returns, without the cost of its first
-    call in a process, which shows in the set-up time of a small family.
-    """
-    new.sort()
-    new = new[_heads(new)]
-    merged = np.empty(len(keys) + len(new), dtype=keys.dtype)
-    spots = keys.searchsorted(new) + np.arange(len(new))
-    merged[spots] = new
-    rest = np.ones(len(merged), dtype=bool)
-    rest[spots] = False
-    merged[rest] = keys
-    return merged
-
-
 def _rows_of_keys(keys: np.ndarray, universe_size: int, k: int, dtype) -> np.ndarray:
     """The ascending width-k rows, as `dtype`, whose `_set_keys` are `keys`."""
     if keys.dtype != np.int64:
@@ -699,9 +684,10 @@ def generate_family(
     `_CHUNK` sets are missing even if no kept row repeats another: until
     then every batch has `_CHUNK` rows, or what the budget allows,
     whatever the count. It then sorts the keys kept so far in place,
-    drops the repeats, and merges the new keys of each later batch into
-    that sorted array (`searchsorted`). A tier's rows are decoded from its
-    sorted distinct keys (`_rows_of_keys`), which is the tuple order.
+    drops the repeats, and inserts the new distinct keys of each later
+    batch into that sorted array where `searchsorted` places them. A
+    tier's rows are decoded from its sorted distinct keys
+    (`_rows_of_keys`), which is the tuple order.
     The family is built from the tiers' rows, with no tuple per set:
     `planted` is made when first read.
 
@@ -770,9 +756,10 @@ def generate_family(
             batch = min(target - len(keys), budget, _CHUNK)
             budget -= batch
             new = _candidate_keys(rng, k, batch, smaller)
-            absent = ~_among(keys, new)
-            if absent.any():
-                keys = _merged(keys, new[absent])
+            new = new[~_among(keys, new)]
+            new.sort()
+            new = new[_heads(new)]
+            keys = np.insert(keys, keys.searchsorted(new), new)
         tiers.append(_rows_of_keys(keys, universe_size, k, column))
         if k != sizes[-1]:
             smaller.add(tiers[-1], keys)

@@ -35,7 +35,6 @@ from groupsight import (
 from groupsight import harness
 from groupsight import TestLedger as Ledger
 from groupsight.harness import (
-    csv_header,
     read_run_log,
     write_run_log,
     write_summary_csv,
@@ -260,21 +259,26 @@ class TestSummarizeCell:
         ]
 
     def test_counting_example(self):
-        # 10 runs: 6 finds of sizes [2,2,2,3,3,4], 0 initial aborts,
-        # 4 mid-run aborts.
+        # 15 runs: 5 initial aborts, on both sides of their pairs, then 6
+        # finds of sizes [2,2,2,3,3,4] and 4 mid-run aborts. abort_rate is
+        # over the 10 runs that passed the initial test.
         founds = [(0, 1), (2, 3), (4, 5), (0, 1, 2), (3, 4, 5), (0, 1, 2, 3)]
         runs = [find("sight", 2, 3, found=f) for f in founds]
         runs += [abort("sight", 1, 2) for _ in range(4)]
+        runs[3:3] = [abort_initial("sight") for _ in range(5)]
         rc_runs = [
             fake_run("rc", r.outcome, r.ledger.positives, r.ledger.negatives,
                      found=r.found)
             for r in runs
         ]
-        summary, _ = summarize_cell(8, self.make_pairs(runs, rc_runs))
-        assert summary.finds == 6
-        assert summary.k_proportions == {2: 0.5, 3: pytest.approx(1 / 3), 4: pytest.approx(1 / 6)}
-        assert summary.init_fail_rate == 0.0
-        assert summary.abort_rate == pytest.approx(0.4)
+        for summary in summarize_cell(8, self.make_pairs(runs, rc_runs)):
+            assert summary.runs == 15
+            assert summary.finds == 6
+            assert summary.k_proportions == {
+                2: 0.5, 3: pytest.approx(1 / 3), 4: pytest.approx(1 / 6)
+            }
+            assert summary.init_fail_rate == pytest.approx(1 / 3)
+            assert summary.abort_rate == pytest.approx(0.4)
 
     def test_all_initial_aborts_leave_medians_undefined(self):
         runs = [abort_initial("sight") for _ in range(5)]
@@ -506,12 +510,14 @@ class TestExperimentOutputs:
             assert len(row) == 23 and row[header.index("T_label")] == label
 
     def test_csv_header_is_stable(self):
-        assert csv_header((1.0, 10.0, 50.0, 100.0)) == [
+        out = io.StringIO()
+        write_summary_csv(out, [], (1.0, 10.0, 50.0, 100.0))
+        assert list(csv.reader(io.StringIO(out.getvalue()))) == [[
             "algorithm", "a0", "T_label", "finds", "init_fail_rate", "abort_rate",
             "med_pos", "med_neg", "med_total", "p2", "p3", "p4", "prop_identical",
             "cost_r1", "cost_r10", "cost_r50", "cost_r100",
             "U", "p_value", "U_pos", "p_value_pos", "U_neg", "p_value_neg",
-        ]
+        ]]
 
 
 def test_window_and_budget_defaults_agree():

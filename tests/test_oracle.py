@@ -848,8 +848,21 @@ class TestFamilyChecks:
         pytest.param(10, ((0, 1), (2, 10)), RANGE, id="member-equals-n"),
         pytest.param(1000, ((3, 4), (5, 70_000)), RANGE, id="member-70000"),
     ]
+    # Defects of type, which only sets given as sequences can have: an array
+    # of members holds one type, which settles it.
+    MEMBER = (ValidationError, "planted set members must be integers")
+    UNIVERSE = (ValidationError, "universe_size must be an integer")
+    TYPE_DEFECTS = [
+        pytest.param(10, ((2.9, 3.2),), MEMBER, id="float-members"),
+        pytest.param(10, ((0, 1), (2, 3.0)), MEMBER, id="integral-float-member"),
+        pytest.param(10, (("0", "1"),), MEMBER, id="string-members"),
+        pytest.param(10, ((True, 2),), MEMBER, id="bool-member"),
+        pytest.param(10.0, ((0, 1),), UNIVERSE, id="float-universe"),
+        pytest.param(True, (), UNIVERSE, id="bool-universe"),
+        pytest.param("10", ((0, 1),), UNIVERSE, id="string-universe"),
+    ]
 
-    @pytest.mark.parametrize("universe_size, planted, expected", DEFECTS)
+    @pytest.mark.parametrize("universe_size, planted, expected", DEFECTS + TYPE_DEFECTS)
     def test_single_defect(self, universe_size, planted, expected):
         exc_type, message = expected
         with pytest.raises(ValidationError) as info:
@@ -871,6 +884,19 @@ class TestFamilyChecks:
     def test_nonpositive_universe(self):
         with pytest.raises(ValidationError, match="^universe_size must be positive$"):
             PlantedFamily(universe_size=0, planted=())
+
+    def test_sets_given_as_lists_are_kept_as_tuples(self, tmp_path):
+        # So the family hashes, and equals the one built from tuples, its
+        # pickled copy and the family its file loads back as; a numpy
+        # universe size is kept as an int, which the file can hold.
+        fam = PlantedFamily(10, ((0, 1), (2, 3, 4)), seed=3)
+        listed = PlantedFamily(np.int64(10), [[0, 1], np.array([2, 3, 4])], seed=3)
+        assert listed.planted == ((0, 1), (2, 3, 4))
+        assert listed == fam and hash(listed) == hash(fam)
+        clone = pickle.loads(pickle.dumps(listed))
+        assert clone == listed and hash(clone) == hash(listed)
+        listed.save(tmp_path / "fam.json")
+        assert PlantedFamily.load(tmp_path / "fam.json") == listed
 
 
 class TestExpectationLaw:
