@@ -21,6 +21,7 @@ from .errors import (
     GroupsightError,
     InfeasibleCountsError,
     InvalidKError,
+    ReplayError,
     SampleSizeError,
     ValidationError,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "PairResult",
     "PlantedFamily",
     "RcConfig",
+    "ReplayError",
     "ROLE_FAMILY",
     "ROLE_INIT",
     "ROLE_INIT_NOISE",

@@ -3,7 +3,8 @@
 Subcommands: `generate` (write a planted-family file), `run` (execute a
 paired experiment grid), `bounds` (print worst-case test counts),
 `stats` (recompute summaries from an existing run log). Exit codes:
-0 success, 2 validation failure, 3 I/O failure.
+0 success, 2 validation failure, 3 I/O failure, 4 numpy no longer draws
+as family generation replays it (`generate`; see `draws._check_replay`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .bounds import rc_max_positive, rc_max_tests, sight_max_positive, sight_max_tests
-from .errors import ValidationError
+from .errors import ReplayError, ValidationError
 from .harness import (
     ExperimentConfig,
     check_rhos,
@@ -33,6 +34,7 @@ from .rc import build_schedule
 
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+EXIT_REPLAY = 4
 
 
 def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -280,6 +282,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ReplayError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REPLAY
     except ValueError as exc:  # ValidationError, malformed input files and the like
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

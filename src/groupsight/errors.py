@@ -23,3 +23,7 @@ class SampleSizeError(ValidationError):
 
 class EmptySelectionError(ValidationError):
     """Binary search was invoked on an empty candidate list."""
+
+
+class ReplayError(GroupsightError):
+    """numpy's `Generator.choice` no longer draws as family generation replays it."""

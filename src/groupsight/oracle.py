@@ -25,6 +25,7 @@ import numpy as np
 # its place (a timed subclass, say) takes effect.
 from . import backend
 from .backend import FamilyProjection
+from .draws import _draw_sets, _replay_checked
 from .errors import (
     InfeasibleCountsError,
     InvalidKError,
@@ -50,7 +51,9 @@ class PlantedFamily:
     generated, loaded or unpickled makes them from the store when
     `planted` is first read, and keeps them. The store is not a
     constructor argument, so `dataclasses.replace` builds it afresh for
-    the new sets.
+    the new sets. The seed, here as in a JSON record and in
+    `generate_family`, is None or an integer at least 0 (an int or a
+    numpy integer, kept as an int, but not a bool).
     """
 
     universe_size: int
@@ -66,6 +69,7 @@ class PlantedFamily:
         )
         object.__setattr__(self, "universe_size", int(self.universe_size))
         object.__setattr__(self, "planted", tuple(map(tuple, self.planted)))
+        object.__setattr__(self, "seed", _family_seed(self.seed))
 
     @classmethod
     def _of_store(cls, store: backend.FamilyIndex, seed: int | None) -> "PlantedFamily":
@@ -161,16 +165,17 @@ class PlantedFamily:
         # Not `np.unique`: its first call in a process imports `numpy.ma`.
         for k in np.flatnonzero(np.bincount(store.sizes)).tolist():
             pick = np.flatnonzero(store.sizes == k)
-            rows = np.column_stack([col.take(pick) for col in store.columns[:k]])
-            keys = _set_keys(rows, n)
+            # Member rows: the store's own columns, taken at these sets.
+            columns = np.array([col.take(pick) for col in store.columns[:k]])
+            keys = _set_keys(columns, n)
             ordered = np.sort(keys)
             repeats = ordered[1:] == ordered[:-1]
             if repeats.any():
                 # Equal sets share their minimum, so the store keeps them in
                 # `planted` order: all but the first of each key repeat one.
                 again = np.argsort(keys, kind="stable")[1:][repeats]
-                repeated.append(_first(store.order.take(pick), rows, again))
-            tiers[k] = rows, ordered
+                repeated.append(_first(store.order.take(pick), columns, again))
+            tiers[k] = columns, ordered
         if repeated:
             raise _not_antichain(min(repeated)[1])
         sizes = list(tiers)
@@ -178,9 +183,9 @@ class PlantedFamily:
         nesting: list[tuple[int, KSet]] = []
         for j, k in zip(sizes, sizes[1:]):
             smaller.add(*tiers[j])
-            rows = tiers[k][0]
-            for lo in range(0, len(rows), _CHUNK):
-                chunk = rows[lo:lo + _CHUNK]
+            columns = tiers[k][0]
+            for lo in range(0, columns.shape[1], _CHUNK):
+                chunk = columns[:, lo:lo + _CHUNK]
                 hit = np.flatnonzero(_nested(chunk, smaller))
                 if hit.size:
                     pick = np.flatnonzero(store.sizes == k)[lo:lo + _CHUNK]
@@ -211,8 +216,7 @@ class PlantedFamily:
         )):
             raise ValidationError("family record 'planted' is not a list of lists")
         members, sizes = backend._members(universe_size, planted)
-        if seed is not None and not _is_int(seed):
-            raise ValidationError("family record 'seed' is not null or an integer")
+        seed = _family_seed(seed)
         return cls._validated(backend.FamilyIndex(universe_size, members, sizes), seed)
 
     @classmethod
@@ -383,24 +387,27 @@ def _parse_sets(text: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return values, counts
 
 
-def _set_keys(rows: np.ndarray, universe_size: int) -> np.ndarray:
-    """One key per ascending row of `rows` (last axis: the members).
+def _set_keys(columns, universe_size: int) -> np.ndarray:
+    """One key per set whose ascending members are `columns[0]`,
+    `columns[1]`, ...: two or more equal-shaped arrays, or the rows of
+    one array.
 
-    Keys of rows of one width j sort as the rows do as tuples, and equal
-    keys mean equal rows. The key is the row in mixed radix
+    Keys of sets of one size j sort as the sets do as tuples, and equal
+    keys mean equal sets. The key is the set in mixed radix
     `universe_size`, an int64 when universe_size**j fits; otherwise it
-    is the row's big-endian bytes, a void scalar that compares bytewise.
+    is the set's big-endian bytes, a void scalar that compares bytewise.
     """
-    j = rows.shape[-1]
+    j = len(columns)
     if universe_size**j <= 2**63:
-        keys = rows[..., 0].astype(np.int64)
-        for c in range(1, j):
+        keys = np.multiply(columns[0], universe_size, dtype=np.int64)
+        keys += columns[1]
+        for c in range(2, j):
             keys *= universe_size
-            keys += rows[..., c]
+            keys += columns[c]
         return keys
     digit = np.min_scalar_type(universe_size - 1).newbyteorder(">")
-    wide = np.ascontiguousarray(rows, dtype=digit)
-    return wide.view(f"V{digit.itemsize * j}").reshape(rows.shape[:-1])
+    wide = np.stack(columns, axis=-1).astype(digit)
+    return wide.view(f"V{digit.itemsize * j}").reshape(wide.shape[:-1])
 
 
 # 2**64 divided by the golden ratio, rounded to odd: the hash multiplier.
@@ -468,51 +475,56 @@ class _Smaller:
         self.tiers: dict[int, _SizeKeys] = {}
         self.heads: _SizeKeys | None = None
 
-    def add(self, rows: np.ndarray, keys: np.ndarray) -> None:
-        """Add the distinct ascending `rows` of one size; `keys` are their
-        `_set_keys`, sorted."""
-        self.tiers[rows.shape[1]] = _SizeKeys(keys)
-        pairs = _set_keys(rows[:, :2], self.universe_size)
+    def add(self, columns: np.ndarray, keys: np.ndarray) -> None:
+        """Add the distinct sets of one size, given as their member
+        `columns` (one row per member); `keys` are their `_set_keys`,
+        sorted."""
+        self.tiers[len(columns)] = _SizeKeys(keys)
+        pairs = _set_keys(columns[:2], self.universe_size)
         if self.heads is not None:
             pairs = np.concatenate((self.heads.keys, pairs))
         pairs.sort()
         self.heads = _SizeKeys(pairs[_heads(pairs)])
 
 
-def _nested(rows: np.ndarray, smaller: _Smaller) -> np.ndarray:
-    """Mask of the ascending `rows` that contain a set of `smaller`.
+def _nested(columns: np.ndarray, smaller: _Smaller) -> np.ndarray:
+    """Mask of the sets, one per column of the member rows `columns`
+    (row c holds each set's member c, ascending down the rows), that
+    contain a set of `smaller`.
 
-    Every set of `smaller` is smaller than the rows. A row can contain a
-    set only if it contains the set's head pair, so the keys of each
-    row's C(k, 2) pairs are looked up among `smaller.heads` first; when
-    every set of `smaller` is a pair, a hit is the answer. Otherwise only
-    the rows with a hit are tested size by size: size 2 looks up the same
-    pair keys, and each larger size j keys every j-column combination of
-    those rows at once and looks them all up together.
+    Every set of `smaller` is smaller than these. A set can contain one
+    only if it contains its head pair, so the keys of each set's C(k, 2)
+    pairs, made from two gathers of member rows, are looked up among
+    `smaller.heads` first; when every set of `smaller` is a pair, a hit
+    is the answer. Otherwise only the sets with a hit are tested size by
+    size: size 2 looks up the same pair keys, and each larger size j
+    keys every j-member combination of those sets at once and looks
+    them all up together.
     """
     if not smaller.tiers:
-        return np.zeros(len(rows), dtype=bool)
-    k = rows.shape[1]
+        return np.zeros(columns.shape[1], dtype=bool)
+    k = len(columns)
     n = smaller.universe_size
-    pairs = _set_keys(rows[:, _combinations(k, 2)], n)
-    hit = smaller.heads.holds(pairs).any(axis=1)
+    pairs = _set_keys(columns[_combinations(k, 2)], n)
+    hit = smaller.heads.holds(pairs).any(axis=0)
     if list(smaller.tiers) == [2]:
         # Every head pair is a set.
         return hit
     maybe = np.flatnonzero(hit)
-    rows, pairs = rows.take(maybe, axis=0), pairs.take(maybe, axis=0)
+    columns, pairs = columns.take(maybe, axis=1), pairs.take(maybe, axis=1)
     found = np.zeros(len(maybe), dtype=bool)
     for j, tier in smaller.tiers.items():
-        subsets = pairs if j == 2 else _set_keys(rows[:, _combinations(k, j)], n)
-        found |= tier.holds(subsets).any(axis=1)
+        subsets = pairs if j == 2 else _set_keys(columns[_combinations(k, j)], n)
+        found |= tier.holds(subsets).any(axis=0)
     hit[maybe] = found
     return hit
 
 
 @cache
 def _combinations(k: int, j: int) -> np.ndarray:
-    """The j-element column combinations of a width-k row, one per row."""
-    return np.array(list(combinations(range(k), j)), dtype=np.intp)
+    """The j-element combinations of k members, as j rows: row c holds
+    member c of each combination."""
+    return np.array(list(combinations(range(k), j)), dtype=np.intp).T
 
 
 def _heads(ordered: np.ndarray) -> np.ndarray:
@@ -536,14 +548,15 @@ def _rows_of_keys(keys: np.ndarray, universe_size: int, k: int, dtype) -> np.nda
 
 
 def _first(
-    place: np.ndarray, rows: np.ndarray, which: np.ndarray
+    place: np.ndarray, columns: np.ndarray, which: np.ndarray
 ) -> tuple[int, KSet]:
-    """Of `rows[which]`, the row first in `planted` order, as (position, set).
+    """Of the sets `which` among the member rows `columns`, the one first
+    in `planted` order, as (position, set).
 
-    `place[i]` is the position of `rows[i]` in `planted`.
+    `place[i]` is the position in `planted` of the set in column i.
     """
     i = which[np.argmin(place.take(which))]
-    return int(place[i]), tuple(rows[i].tolist())
+    return int(place[i]), tuple(columns[:, i].tolist())
 
 
 def _not_antichain(p: KSet) -> ValidationError:
@@ -626,32 +639,10 @@ def _choose(n: int, count: int, rng: np.random.Generator) -> list[int]:
     return rng.choice(n, size=count, replace=False).tolist()
 
 
-# Most candidate rows one `_draw_sets` call draws in `generate_family`, and
+# Most candidate sets one `_draw_sets` call draws in `generate_family`, and
 # most sets validation tests or `save` writes at once; it bounds what a
 # batch's arrays and row lists hold in memory.
 _CHUNK = 1024
-
-
-def _draw_sets(
-    rng: np.random.Generator, n: int, k: int, count: int
-) -> np.ndarray:
-    """`count` rows, each the sorted `rng.choice(n, k, replace=False)`.
-
-    Consumes the stream exactly as `count` successive `choice` calls do
-    (see `generate_family`). Per row, columns 0..k-1 of the batched draw
-    are Floyd's draws from [0, j] for j = n-k .. n-1, each replaced by j
-    when already taken; the k-1 shuffle draws after them go unused.
-    """
-    if n > 10000 and k > n // 50:
-        return np.array([np.sort(rng.choice(n, k, replace=False))
-                         for _ in range(count)])
-    highs = np.concatenate((np.arange(n - k + 1, n + 1), np.arange(k, 1, -1)))
-    rows = rng.integers(0, np.tile(highs, count)).reshape(count, -1)[:, :k]
-    for c in range(1, k):
-        taken = (rows[:, :c] == rows[:, c, None]).any(axis=1)
-        rows[taken, c] = n - k + c
-    rows.sort(axis=1)
-    return rows
 
 
 def _candidate_keys(
@@ -660,14 +651,24 @@ def _candidate_keys(
     """The keys of `count` drawn candidates of size k that nest no set of
     `smaller`, repeats included."""
     n = smaller.universe_size
-    rows = _draw_sets(rng, n, k, count)
-    return _set_keys(rows[~_nested(rows, smaller)], n)
+    columns = _draw_sets(rng, n, k, count).T
+    return _set_keys(columns, n)[~_nested(columns, smaller)]
+
+
+def _family_seed(seed) -> int | None:
+    """`seed` if None, else as an int: it must be an int or a numpy integer,
+    not a bool, and at least 0; otherwise ValidationError."""
+    if seed is None:
+        return None
+    if not backend._is_integer(seed) or seed < 0:
+        raise ValidationError("family seed must be null or an integer >= 0")
+    return int(seed)
 
 
 def generate_family(
     universe_size: int,
     counts_by_k: Mapping[int, int],
-    seed: int,
+    seed: int | None,
     *,
     attempts_per_set: int = 1000,
 ) -> PlantedFamily:
@@ -677,12 +678,14 @@ def generate_family(
     avoid (a) duplicating an accepted set of its own size and (b)
     containing an accepted smaller set; equal-size sets can never nest.
     Candidates violating either are discarded and redrawn. Deterministic
-    given the seed. Each batch of candidates is tested for (b) at once on
-    set keys (`_nested`, the rule `validate_antichain` applies: only rows
-    holding the head pair of a smaller set get the full subset check).
+    given the seed, which is None (fresh entropy from the operating
+    system; the family then records no seed) or an integer at least 0.
+    Each batch of candidates is tested for (b) at once on set keys
+    (`_nested`, the rule `validate_antichain` applies: only sets holding
+    the head pair of a smaller set get the full subset check).
     For (a), a tier counts its distinct keys only once fewer than
-    `_CHUNK` sets are missing even if no kept row repeats another: until
-    then every batch has `_CHUNK` rows, or what the budget allows,
+    `_CHUNK` sets are missing even if no kept set repeats another: until
+    then every batch has `_CHUNK` sets, or what the budget allows,
     whatever the count. It then sorts the keys kept so far in place,
     drops the repeats, and inserts the new distinct keys of each later
     batch into that sorted array where `searchsorted` places them. A
@@ -692,19 +695,25 @@ def generate_family(
     `planted` is made when first read.
 
     Each candidate is the sorted `rng.choice(universe_size, k,
-    replace=False)`, but a tier draws up to `_CHUNK` candidates from one
-    `rng.integers` call (`_draw_sets`). This is exact: numpy's `choice`
-    runs Floyd's algorithm and then a Fisher-Yates shuffle, and each of
-    their draws is the bounded-integer draw (Lemire's method) that
-    `integers` makes for each element of an array of bounds. Given the
-    bounds of `count` rows, one call consumes the stream as `count`
-    `choice` calls do and leaves the generator in the same state. Where
+    replace=False)`, but a tier draws up to `_CHUNK` candidates at once
+    (`_draw_sets`), as k member columns: row c of the batch's block is
+    member c of every candidate. This is exact: numpy's `choice` runs
+    Floyd's algorithm and then a Fisher-Yates shuffle, and each of their
+    draws is a bounded-integer draw by Lemire's method, which
+    `draws._Lemire` replays from the raw 32-bit words of one
+    `integers(0, 2**32, dtype=np.uint32)` call, so a batch consumes the
+    stream as `count` `choice` calls do and leaves the generator in the
+    same state. Where
     `choice` uses a tail shuffle instead (universe_size > 10000 and
-    k > universe_size // 50), `_draw_sets` calls `choice` once per row.
-    A batch never holds more rows than the tier still needs or its
-    budget allows, so the family is the one that drawing one candidate
-    at a time makes.
+    k > universe_size // 50), or universe_size exceeds 2**32,
+    `_draw_sets` calls `choice` once per candidate. A batch never holds
+    more candidates than the tier still needs or its budget allows, so
+    the family is the one that drawing one candidate at a time makes.
+    The first call in a process checks the replay against `choice`
+    itself (`draws._check_replay`) and raises ReplayError if numpy draws
+    otherwise.
     """
+    seed = _family_seed(seed)
     counts = {}
     for k, c in counts_by_k.items():
         k, c = int(k), int(c)
@@ -722,6 +731,7 @@ def generate_family(
                 f"{c} sets of size {k} exceed C({universe_size},{k})"
             )
 
+    _replay_checked()
     rng = spawn_generator(seed, ROLE_FAMILY)
     column = np.min_scalar_type(universe_size)
     tiers: list[np.ndarray] = []
@@ -733,7 +743,7 @@ def generate_family(
         budget = attempts_per_set * target
         # The keys kept before the count starts, repeats included; the
         # empty first one gives `concatenate` the key type.
-        found = [_set_keys(np.empty((0, k), column), universe_size)]
+        found = [_set_keys(np.empty((k, 0), column), universe_size)]
         kept = 0
         # A full batch cannot overshoot while `_CHUNK` sets would be missing
         # even if no kept key repeated, so until then nothing is counted.
@@ -757,12 +767,14 @@ def generate_family(
             budget -= batch
             new = _candidate_keys(rng, k, batch, smaller)
             new = new[~_among(keys, new)]
-            new.sort()
-            new = new[_heads(new)]
-            keys = np.insert(keys, keys.searchsorted(new), new)
+            # Near a tier's end most batches draw only repeats.
+            if new.size:
+                new.sort()
+                new = new[_heads(new)]
+                keys = np.insert(keys, keys.searchsorted(new), new)
         tiers.append(_rows_of_keys(keys, universe_size, k, column))
         if k != sizes[-1]:
-            smaller.add(tiers[-1], keys)
+            smaller.add(tiers[-1].T, keys)
         # Not kept beside the row store built below, where the peak RSS is.
         del keys
     flat = np.concatenate([np.empty(0, column), *(rows.ravel() for rows in tiers)])

@@ -35,9 +35,13 @@ ROLE_FAMILY = 3
 ROLE_INIT_NOISE = 4
 
 
-def spawn_generator(master_seed: int, *key: int) -> np.random.Generator:
-    """Return the Philox generator for substream (master_seed, *key)."""
-    if master_seed < 0:
+def spawn_generator(master_seed: int | None, *key: int) -> np.random.Generator:
+    """Return the Philox generator for substream (master_seed, *key).
+
+    A master seed of None takes fresh entropy from the operating system,
+    as `SeedSequence(None)` does.
+    """
+    if master_seed is not None and master_seed < 0:
         raise ValueError("master_seed must be nonnegative")
     seq = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(seq))

@@ -251,7 +251,7 @@ class TestKeyWidth:
         rows[:3] = np.arange(universe_size - width, universe_size)
         rows[3] = np.arange(width)
         rows[4] = rows[5]
-        keys = _set_keys(rows, universe_size)
+        keys = _set_keys(rows.T, universe_size)
         assert keys.dtype.type is dtype
         assert keys.shape == (300,)
         tuples = list(map(tuple, rows.tolist()))
@@ -269,7 +269,7 @@ class TestKeyWidth:
         rows[:3] = np.arange(universe_size - width, universe_size)
         rows[3] = np.arange(width)
         column = np.min_scalar_type(universe_size)
-        back = _rows_of_keys(_set_keys(rows, universe_size), universe_size, width, column)
+        back = _rows_of_keys(_set_keys(rows.T, universe_size), universe_size, width, column)
         assert back.dtype == column
         assert np.array_equal(back, rows)
 
@@ -306,7 +306,7 @@ def tier_keys(count, seed):
     while len(keys) < count:
         rows = np.sort(rng.integers(0, 10_000, size=(count, 3)), axis=1)
         rows = rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)]
-        keys = np.unique(np.concatenate((keys, _set_keys(rows, 10_000))))
+        keys = np.unique(np.concatenate((keys, _set_keys(rows.T, 10_000))))
     return np.sort(rng.permutation(keys)[:count])
 
 
@@ -343,7 +343,7 @@ class TestSizeKeys:
         rng = np.random.default_rng(5)
         n = 2**32 + 5
         rows = np.sort(rng.integers(0, n, size=(600, 2)), axis=1)
-        keys = _set_keys(rows, n)
+        keys = _set_keys(rows.T, n)
         assert keys.dtype.type is np.void
         tier = _SizeKeys(np.unique(keys[:300]))
         assert tier.bitmap is None
@@ -356,7 +356,7 @@ def smaller_of(universe_size, sets):
     smaller = _Smaller(universe_size)
     for j in sorted(set(map(len, sets))):
         rows = np.array(sorted({s for s in sets if len(s) == j}), dtype=np.int64)
-        smaller.add(rows, np.sort(_set_keys(rows, universe_size)))
+        smaller.add(rows.T, np.sort(_set_keys(rows.T, universe_size)))
     return smaller
 
 
@@ -380,8 +380,13 @@ class TestHeadPairFilter:
         expected = [nests(tuple(r), set(sets), set(map(len, sets))) for r in rows.tolist()]
         assert any(expected) and not all(expected)
         smaller = smaller_of(universe_size, sets)
+        # Member columns as generation holds them (int64 rows of a block,
+        # here a strided view) and as validation takes them from the row
+        # store (its column type).
+        column = np.min_scalar_type(universe_size)
         for part in (rows, rows[:1], rows[:0]):
-            assert _nested(part, smaller).tolist() == expected[:len(part)]
+            for columns in (part.T, np.ascontiguousarray(part.T, dtype=column)):
+                assert _nested(columns, smaller).tolist() == expected[:len(part)]
 
     @pytest.mark.parametrize("universe_size, counts, k", [
         (12, {2: 12, 3: 40}, 4), (20, {2: 10, 3: 120, 4: 100}, 5),
@@ -389,7 +394,7 @@ class TestHeadPairFilter:
     def test_dense_family_where_most_pairs_are_head_pairs(self, universe_size, counts, k):
         sets = generate_family(universe_size, counts, seed=3).planted
         smaller = smaller_of(universe_size, sets)
-        pairs = _set_keys(np.array(list(combinations(range(universe_size), 2))), universe_size)
+        pairs = _set_keys(np.array(list(combinations(range(universe_size), 2))).T, universe_size)
         assert smaller.heads.holds(pairs).mean() > 0.5
         rows = batch_of_rows(np.random.default_rng(k), range(universe_size), k, sets, 300)
         self.assert_nested_as_reference(universe_size, sets, rows)
@@ -406,7 +411,7 @@ class TestHeadPairFilter:
         rng = np.random.default_rng(6)
         sets = sorted({tuple(sorted(rng.choice(pool, j, replace=False).tolist()))
                        for j in (2, 2, 3) for _ in range(8)})
-        assert _set_keys(np.array([[0, n - 1]]), n).dtype.type is np.void
+        assert _set_keys(np.array([[0], [n - 1]]), n).dtype.type is np.void
         rows = batch_of_rows(rng, pool, 4, sets, 200)
         self.assert_nested_as_reference(n, sets, rows)
 

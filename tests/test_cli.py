@@ -11,11 +11,12 @@ import tempfile
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import PlantedFamily, RunOutcome, cli, harness
+from groupsight import PlantedFamily, RunOutcome, cli, draws, harness
 from groupsight.bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from groupsight.cli import RUN_SETTINGS, main
 from groupsight.harness import read_run_log
@@ -64,6 +65,25 @@ class TestGenerate:
         code = run_cli(["generate", "--n", "4", "--k2", "7", "-o", str(tmp_path / "x.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_numpy_that_draws_otherwise_exits_4(self, tmp_path, capsys, monkeypatch):
+        # A reference one draw apart stands for a numpy whose `choice` changed.
+        def reference(rng, n, k, first=[]):
+            if not first:
+                first.append(rng.integers(2))
+            return draws._choice_row(rng, n, k)
+
+        monkeypatch.setattr(draws._check_replay, "__defaults__", (reference,))
+        draws._replay_checked.cache_clear()
+        out = tmp_path / "x.json"
+        try:
+            code = run_cli(["generate", "--n", "10", "--k2", "3", "-o", str(out)])
+        finally:
+            draws._replay_checked.cache_clear()
+        assert code == cli.EXIT_REPLAY == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: numpy {np.__version__}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestBounds:

@@ -21,6 +21,7 @@ from groupsight import (
     InvalidKError,
     Oracle,
     PlantedFamily,
+    ReplayError,
     SampleSizeError,
     ValidationError,
     expected_planted_count,
@@ -29,7 +30,7 @@ from groupsight import (
     spawn_generator,
 )
 from groupsight import TestLedger as Ledger
-from groupsight import backend, oracle
+from groupsight import backend, draws, oracle
 from groupsight.backend import FamilyIndex
 from groupsight.oracle import _CHUNK, _draw_sets
 from groupsight.rng import ROLE_FAMILY
@@ -186,6 +187,144 @@ class TestDrawSets:
     def test_family_shares_one_int_object_per_node(self):
         fam = generate_family(1000, {2: 400, 5: 3000}, seed=3)
         assert len({id(v) for p in fam.planted for v in p}) <= 1000
+
+
+class TestRawWordDraw:
+    """`_Lemire.draw` gives the values and leaves the generator state of
+    `integers(0, highs)` over `count` rows of bounds."""
+
+    @staticmethod
+    def assert_same_as_integers(highs, count, seed=0, pending=False):
+        rng, ref = spawn_generator(seed, 9), spawn_generator(seed, 9)
+        if pending:
+            # Leaves half of a 64-bit output cached for the next 32-bit word.
+            for g in (rng, ref):
+                g.integers(0, 2**32, dtype=np.uint32)
+        got = draws._Lemire(np.array(highs)).draw(rng, count)
+        expected = ref.integers(0, np.tile(np.array(highs, dtype=np.int64), count))
+        np.testing.assert_array_equal(got.T, expected.reshape(count, len(highs)))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("highs", [
+        [1, 2, 3, 4, 4, 3, 2],  # the bounds of choice(4, 4): n == k
+        [1],
+        [5, 1, 1, 7],
+        [996, 997, 998, 999, 1000, 5, 4, 3, 2],
+    ])
+    def test_matches_integers(self, highs, pending):
+        self.assert_same_as_integers(highs, 300, pending=pending)
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_rejected_words_shift_the_draws_after_them(self, pending):
+        # Near 2**32 a word is rejected with probability up to one half
+        # (2**31 + 1); 2**32 takes a word as it is, and 2**32 - 1 rejects
+        # only a word whose product has low half 0.
+        highs = [2**31 + 1, 3 * 2**30, 7, 2**32 - 1, 2**32, 1]
+        bounds = draws._Lemire(np.array(highs))
+        rng, plain = spawn_generator(1, 9), spawn_generator(1, 9)
+        bounds.draw(rng, 200)
+        plain.integers(0, 2**32, size=200 * bounds.words, dtype=np.uint32)
+        # More words were taken than there are draws, so some were rejected.
+        after = [g.integers(0, 2**32, size=4, dtype=np.uint32) for g in (rng, plain)]
+        assert not np.array_equal(*after)
+        self.assert_same_as_integers(highs, 200, seed=1, pending=pending)
+
+    def test_empty_batch_takes_no_word(self):
+        self.assert_same_as_integers([5, 4, 3, 2], 0, pending=True)
+        assert draws._Lemire(np.array([5, 4])).draw(spawn_generator(0), 0).shape == (2, 0)
+
+    @pytest.mark.parametrize("n, k", [(2**32, 3), (2**32 + 5, 2)])
+    def test_bounds_beyond_one_word(self, n, k):
+        # A bound of 2**32 still takes one word; above it, `choice` per row.
+        TestDrawSets.assert_same_stream(n, k, 5)
+
+
+class TestReplayCheck:
+    """The first `generate_family` call in a process checks `_draw_sets`
+    against `choice` itself."""
+
+    def test_case_holds_a_bound_of_one_and_a_floyd_collision(self):
+        n, k, count = draws._REPLAY_CASE
+        assert n == k
+        highs = np.concatenate((np.arange(1, n + 1), np.arange(k, 1, -1)))
+        rng = spawn_generator(0, ROLE_FAMILY)
+        rows = rng.integers(0, np.tile(highs, count)).reshape(count, -1)[:, :k]
+        # Two equal draws of Floyd's: a fix-up replaced one of them, or an
+        # earlier draw.
+        assert any(len(set(row)) < k for row in rows.tolist())
+
+    def test_passes_on_this_numpy(self):
+        draws._check_replay()
+
+    def test_reference_one_draw_apart_raises(self):
+        def reference(rng, n, k, first=[]):
+            if not first:
+                first.append(rng.integers(2))
+            return draws._choice_row(rng, n, k)
+
+        with pytest.raises(ReplayError, match=re.escape(f"numpy {np.__version__}")):
+            draws._check_replay(reference)
+
+    def test_runs_once_per_process(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(draws, "_check_replay", lambda: calls.append(1))
+        draws._replay_checked.cache_clear()
+        try:
+            for seed in (1, 2):
+                generate_family(20, {2: 5}, seed=seed)
+        finally:
+            draws._replay_checked.cache_clear()
+        assert calls == [1]
+
+    def test_a_failed_check_raises_on_every_call(self, monkeypatch):
+        def mismatch():
+            raise ReplayError("numpy 0.0: differs")
+
+        monkeypatch.setattr(draws, "_check_replay", mismatch)
+        draws._replay_checked.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(ReplayError):
+                    generate_family(20, {2: 5}, seed=1)
+        finally:
+            draws._replay_checked.cache_clear()
+
+
+class TestFamilySeed:
+    """The constructor, JSON records and `generate_family` take one seed
+    rule: None or an integer at least 0, not a bool."""
+
+    BAD = pytest.mark.parametrize("seed", ["x", True, -3], ids=["string", "bool", "negative"])
+    MESSAGE = "^family seed must be null or an integer >= 0$"
+
+    @BAD
+    def test_constructor(self, seed):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            PlantedFamily(10, ((0, 1),), seed=seed)
+
+    @BAD
+    def test_json_record(self, seed):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            PlantedFamily.from_json_dict({"universe_size": 10, "planted": [[0, 1]], "seed": seed})
+
+    @BAD
+    def test_generate_family(self, seed):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            generate_family(10, {2: 3}, seed=seed)
+
+    def test_numpy_integer_is_kept_as_an_int(self, tmp_path):
+        fam = PlantedFamily(10, ((0, 1),), seed=np.uint8(3))
+        assert type(fam.seed) is int
+        assert type(generate_family(10, {2: 3}, seed=np.int64(3)).seed) is int
+        fam.save(tmp_path / "fam.json")
+        assert PlantedFamily.load(tmp_path / "fam.json") == PlantedFamily(10, ((0, 1),), seed=3)
+
+    def test_none_draws_fresh_entropy_and_records_no_seed(self):
+        fam = generate_family(30, {2: 20, 3: 20}, seed=None)
+        assert fam.seed is None
+        assert fam.counts_by_k == {2: 20, 3: 20}
+        fam.validate_antichain()
 
 
 class TestContainsDefective:
