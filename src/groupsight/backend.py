@@ -55,10 +55,12 @@ class FamilyIndex:
     sets whose minimum is v, in planted order. Each column is a
     contiguous array of the smallest unsigned type holding universe_size.
 
-    `planted` is a sequence of sets; or, with `sizes` given, an array of
-    the members of every set one after another, sizes[i] of them for set
-    i. The first set that is smaller than 2, not strictly ascending or
-    out of range raises, with the first of those checks it fails.
+    `planted` is a sequence of sets; or, with `sizes` given, the members
+    of every set one after another, sizes[i] of them for set i, or the
+    sets' padded columns (see `_padded`), which the store takes over and
+    sorts in place. The first set that is smaller than 2, not strictly
+    ascending or out of range raises, with the first of those checks it
+    fails.
     """
 
     __slots__ = ("universe_size", "columns", "starts", "sizes", "order")
@@ -70,37 +72,29 @@ class FamilyIndex:
         sizes: np.ndarray | None = None,
     ):
         if sizes is None:
-            flat, sizes = _members(universe_size, planted)
+            members, sizes = _members(universe_size, planted)
         else:
-            flat, sizes = np.asarray(planted), np.asarray(sizes)
+            members, sizes = np.asarray(planted), np.asarray(sizes)
         if universe_size < 1:
             raise ValidationError("universe_size must be positive")
-        column = np.min_scalar_type(universe_size)
-        ends = np.cumsum(sizes, dtype=np.intp)
-        # A call of its own, so that its arrays are freed before the columns
-        # are made: on large families these steps set the peak RSS.
-        _check_sets(flat, sizes, ends, universe_size)
-        flat = flat.astype(column, copy=False)
-
-        width = int(sizes.max()) if sizes.size else 0
-        # Column j takes member j of each set, or its last: flat[at] for
-        # at = min(head + j, end - 1), made in place.
-        at = ends - sizes
-        order = np.argsort(flat.take(at), kind="stable")
-        ends -= 1
-        columns = []
-        for _ in range(width):
-            np.minimum(at, ends, out=at)
-            columns.append(flat.take(at).take(order))
-            at += 1
-        self.columns = tuple(columns)
-        self.starts = np.zeros(universe_size + 1, dtype=np.intp)
+        padded = members if members.ndim == 2 else _padded(members, sizes)
+        del members
+        _check_sets(padded, sizes, universe_size)
+        padded = padded.astype(np.min_scalar_type(universe_size), order="C", copy=False)
+        # One stable sort by minimum member; each column is then permuted in
+        # place, so that the build holds one column more than the store.
+        order = (padded[0] if len(padded) else sizes).argsort(kind="stable")
+        for col in padded:
+            col[:] = col.take(order)
+        self.columns = tuple(padded)
+        # Not `bincount`, which first copies the column to intp.
+        self.starts = np.full(universe_size + 1, len(order), dtype=np.intp)
         if self.columns:
-            np.cumsum(np.bincount(self.columns[0], minlength=universe_size),
-                      out=self.starts[1:])
+            self.starts[:-1] = self.columns[0].searchsorted(
+                np.arange(universe_size, dtype=padded.dtype))
         # Made last: made before the columns, it kept about 1.3 MB more
         # resident after generating a 31,200-set family (glibc heap layout).
-        self.sizes = sizes.astype(np.min_scalar_type(width)).take(order)
+        self.sizes = sizes.astype(np.min_scalar_type(len(padded))).take(order)
         self.order = order
         self.universe_size = universe_size
 
@@ -204,41 +198,52 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_sets(
-    flat: np.ndarray, sizes: np.ndarray, ends: np.ndarray, universe_size: int
-) -> None:
+# Most sets `_padded` and `_check_sets` take at once, to bound their temporaries.
+_SPAN = 1 << 16
+
+
+def _padded(members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The padded columns of the sets whose members are `members`, sizes[i]
+    of them for set i: row j holds members[min(head + j, end - 1)] of set
+    i. A set of no members takes another's, and fails the size check.
+    """
+    ends = sizes.cumsum(dtype=np.intp)
+    padded = np.empty((int(sizes.max()) if sizes.size else 0, len(sizes)), members.dtype)
+    steps = np.arange(len(padded))[:, None]
+    for lo in range(0, len(sizes), _SPAN):
+        end = ends[lo:lo + _SPAN]
+        at = (end - sizes[lo:lo + _SPAN]) + steps
+        np.minimum(at, end - 1, out=at)
+        padded[:, lo:lo + _SPAN] = members.take(at)
+    return padded
+
+
+def _check_sets(padded: np.ndarray, sizes: np.ndarray, universe_size: int) -> None:
     """Raise for the first set that is smaller than 2, not strictly
     ascending or out of range, with the first of those checks it fails.
 
-    Set i is flat[ends[i] - sizes[i]:ends[i]]. Each check makes one mask
-    in one pass, and only its first offending member is looked up among
-    the sets. A fall flat[p + 1] <= flat[p] lies inside a set exactly
-    when p + 1 starts no set.
+    Set i is column i of the padded columns `padded`. Padding repeats a
+    set's last member, so a fall into row j counts only in sets of more
+    than j members.
     """
-
-    def owner(position: int | None) -> int | None:
-        return None if position is None else int(ends.searchsorted(position, side="right"))
-
-    heads = np.zeros(len(flat) + 1, dtype=bool)
-    heads[ends - sizes] = True
-    checks = (
-        (_first_true(sizes < 2),
-         InvalidKError, "planted sets must have size >= 2"),
-        (owner(_first_true((flat[1:] <= flat[:-1]) & ~heads[1:-1])),
-         ValidationError, "planted sets must be strictly ascending"),
-        (owner(_first_true((flat < 0) | (flat >= universe_size))),
-         ValidationError, "planted set member out of range"),
-    )
-    failed = [(bad, rank) for rank, (bad, _, _) in enumerate(checks) if bad is not None]
-    if failed:
-        _, exc, message = checks[min(failed)[1]]
-        raise exc(message)
-
-
-def _first_true(mask: np.ndarray) -> int | None:
-    """The index of the first true element of `mask`, or None."""
-    i = int(mask.argmax()) if mask.size else 0
-    return i if mask.size and mask[i] else None
+    rows = np.arange(1, len(padded))[:, None]
+    for lo in range(0, len(sizes), _SPAN):
+        part, size = padded[:, lo:lo + _SPAN], sizes[lo:lo + _SPAN]
+        failed = (
+            size < 2,
+            (part[1:] <= part[:-1]) & (rows < size),
+            (part < 0) | (part >= universe_size),
+        )
+        if any(map(np.count_nonzero, failed)):
+            # The first offending set, then the first check it fails.
+            bad = [mask.reshape(-1, len(size)).any(axis=0) for mask in failed]
+            i = np.logical_or.reduce(bad).argmax()
+            exc, message = (
+                (InvalidKError, "planted sets must have size >= 2"),
+                (ValidationError, "planted sets must be strictly ascending"),
+                (ValidationError, "planted set member out of range"),
+            )[[b[i] for b in bad].index(True)]
+            raise exc(message)
 
 
 def _members(

@@ -4,7 +4,9 @@ Subcommands: `generate` (write a planted-family file), `run` (execute a
 paired experiment grid), `bounds` (print worst-case test counts),
 `stats` (recompute summaries from an existing run log). Exit codes:
 0 success, 2 validation failure, 3 I/O failure, 4 numpy no longer draws
-as family generation replays it (`generate`; see `draws._check_replay`).
+as family generation replays it (`generate`; see `draws._check_replay`)
+or no longer derives stream keys as paired runs replay them (`run`; see
+`rng._check_stream_keys`).
 """
 
 from __future__ import annotations

@@ -26,4 +26,5 @@ class EmptySelectionError(ValidationError):
 
 
 class ReplayError(GroupsightError):
-    """numpy's `Generator.choice` no longer draws as family generation replays it."""
+    """numpy no longer draws or seeds as the package replays it: `Generator.choice`
+    as family generation does, or `SeedSequence` as paired runs' stream keys do."""

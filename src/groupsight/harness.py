@@ -48,6 +48,7 @@ from .rng import (
     ROLE_INIT_NOISE,
     ROLE_RC,
     ROLE_SIGHT,
+    _stream_keys_checked,
     reset_generator,
     stream_keys,
 )
@@ -177,7 +178,9 @@ def _run_pairs(
     family: PlantedFamily, config: ExperimentConfig, a0: int, start: int, stop: int
 ) -> list[PairResult]:
     """Pairs start..stop-1 of cell `a0`, in pair-id order, each as `run_pair`
-    describes."""
+    describes. The first call in a process checks `stream_keys` against
+    numpy (`rng._check_stream_keys`) and raises ReplayError if it differs."""
+    _stream_keys_checked()
     n = family.universe_size
     sight_config = SightConfig(a0, config.k_min, config.k_max)
     rc_config = RcConfig(a0, config.k_min, config.k_max, config.t_max)

@@ -182,7 +182,7 @@ class PlantedFamily:
         smaller = _Smaller(n)
         nesting: list[tuple[int, KSet]] = []
         for j, k in zip(sizes, sizes[1:]):
-            smaller.add(*tiers[j])
+            smaller.add(j, tiers[j][1])
             columns = tiers[k][0]
             for lo in range(0, columns.shape[1], _CHUNK):
                 chunk = columns[:, lo:lo + _CHUNK]
@@ -410,6 +410,19 @@ def _set_keys(columns, universe_size: int) -> np.ndarray:
     return wide.view(f"V{digit.itemsize * j}").reshape(wide.shape[:-1])
 
 
+def _decode_keys(keys: np.ndarray, universe_size: int, out: np.ndarray) -> None:
+    """Write member c of each set whose `_set_keys` are `keys` into row c
+    of `out`. Int64 keys are used up: each remainder is cast as it is
+    written, and `keys` takes each quotient in place."""
+    if keys.dtype != np.int64:
+        out[...] = keys.view(f">u{keys.itemsize // len(out)}").reshape(len(keys), -1).T
+        return
+    for c in range(len(out) - 1, 0, -1):
+        np.remainder(keys, universe_size, out=out[c], casting="unsafe")
+        keys //= universe_size
+    out[0] = keys
+
+
 # 2**64 divided by the golden ratio, rounded to odd: the hash multiplier.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -475,12 +488,15 @@ class _Smaller:
         self.tiers: dict[int, _SizeKeys] = {}
         self.heads: _SizeKeys | None = None
 
-    def add(self, columns: np.ndarray, keys: np.ndarray) -> None:
-        """Add the distinct sets of one size, given as their member
-        `columns` (one row per member); `keys` are their `_set_keys`,
-        sorted."""
-        self.tiers[len(columns)] = _SizeKeys(keys)
-        pairs = _set_keys(columns[:2], self.universe_size)
+    def add(self, k: int, keys: np.ndarray) -> None:
+        """Add the distinct sets of size k whose `_set_keys` are the sorted
+        `keys`. A set's head pair is the leading two digits of its key."""
+        self.tiers[k] = _SizeKeys(keys)
+        if keys.dtype == np.int64:
+            pairs = keys // self.universe_size ** (k - 2)
+        else:
+            digits = keys.view(f">u{keys.itemsize // k}").reshape(len(keys), k)
+            pairs = _set_keys(digits.T[:2], self.universe_size)
         if self.heads is not None:
             pairs = np.concatenate((self.heads.keys, pairs))
         pairs.sort()
@@ -533,18 +549,6 @@ def _heads(ordered: np.ndarray) -> np.ndarray:
     # The operator, not the ufunc: only it compares void keys.
     heads[1:] = ordered[1:] != ordered[:-1]
     return heads
-
-
-def _rows_of_keys(keys: np.ndarray, universe_size: int, k: int, dtype) -> np.ndarray:
-    """The ascending width-k rows, as `dtype`, whose `_set_keys` are `keys`."""
-    if keys.dtype != np.int64:
-        digit = np.min_scalar_type(universe_size - 1).newbyteorder(">")
-        return keys.view(digit).reshape(len(keys), k).astype(dtype)
-    rows = np.empty((len(keys), k), dtype=dtype)
-    for c in range(k - 1, 0, -1):
-        keys, rows[:, c] = np.divmod(keys, universe_size)
-    rows[:, 0] = keys
-    return rows
 
 
 def _first(
@@ -680,38 +684,24 @@ def generate_family(
     Candidates violating either are discarded and redrawn. Deterministic
     given the seed, which is None (fresh entropy from the operating
     system; the family then records no seed) or an integer at least 0.
-    Each batch of candidates is tested for (b) at once on set keys
-    (`_nested`, the rule `validate_antichain` applies: only sets holding
-    the head pair of a smaller set get the full subset check).
-    For (a), a tier counts its distinct keys only once fewer than
-    `_CHUNK` sets are missing even if no kept set repeats another: until
-    then every batch has `_CHUNK` sets, or what the budget allows,
-    whatever the count. It then sorts the keys kept so far in place,
-    drops the repeats, and inserts the new distinct keys of each later
-    batch into that sorted array where `searchsorted` places them. A
-    tier's rows are decoded from its sorted distinct keys
-    (`_rows_of_keys`), which is the tuple order.
-    The family is built from the tiers' rows, with no tuple per set:
+    Each batch is tested for (b) at once on set keys (`_nested`, as
+    `validate_antichain` does). For (a), a tier counts its distinct keys
+    only once fewer than `_CHUNK` sets are missing even if none repeats:
+    it then sorts them, drops the repeats, and inserts each later batch's
+    new keys where `searchsorted` places them. A tier's sorted keys, in
+    tuple order, are decoded into its slice of the family's padded
+    member columns (`_decode_keys`), from which the row store is built:
     `planted` is made when first read.
 
     Each candidate is the sorted `rng.choice(universe_size, k,
-    replace=False)`, but a tier draws up to `_CHUNK` candidates at once
-    (`_draw_sets`), as k member columns: row c of the batch's block is
-    member c of every candidate. This is exact: numpy's `choice` runs
-    Floyd's algorithm and then a Fisher-Yates shuffle, and each of their
-    draws is a bounded-integer draw by Lemire's method, which
-    `draws._Lemire` replays from the raw 32-bit words of one
-    `integers(0, 2**32, dtype=np.uint32)` call, so a batch consumes the
-    stream as `count` `choice` calls do and leaves the generator in the
-    same state. Where
-    `choice` uses a tail shuffle instead (universe_size > 10000 and
-    k > universe_size // 50), or universe_size exceeds 2**32,
-    `_draw_sets` calls `choice` once per candidate. A batch never holds
-    more candidates than the tier still needs or its budget allows, so
-    the family is the one that drawing one candidate at a time makes.
-    The first call in a process checks the replay against `choice`
-    itself (`draws._check_replay`) and raises ReplayError if numpy draws
-    otherwise.
+    replace=False)`, but a tier draws up to `_CHUNK` candidates at once,
+    as k member columns, with `draws._draw_sets`, which replays `choice`
+    draw for draw and leaves the generator where `count` `choice` calls
+    leave it. A batch never holds more candidates than the tier still
+    needs or its budget allows, so the family is the one that drawing
+    one candidate at a time makes. The first call in a process checks
+    the replay against `choice` itself (`draws._check_replay`) and
+    raises ReplayError if numpy draws otherwise.
     """
     seed = _family_seed(seed)
     counts = {}
@@ -734,27 +724,29 @@ def generate_family(
     _replay_checked()
     rng = spawn_generator(seed, ROLE_FAMILY)
     column = np.min_scalar_type(universe_size)
-    tiers: list[np.ndarray] = []
+    sizes = sorted(counts)
+    # The padded member columns of the family, tier after tier (`backend._padded`).
+    padded = np.empty((max(sizes, default=0), sum(counts.values())), column)
+    placed = 0
     # The finished tiers, all smaller than k.
     smaller = _Smaller(universe_size)
-    sizes = sorted(counts)
     for k in sizes:
         target = counts[k]
         budget = attempts_per_set * target
-        # The keys kept before the count starts, repeats included; the
-        # empty first one gives `concatenate` the key type.
-        found = [_set_keys(np.empty((k, 0), column), universe_size)]
+        # The keys kept before the count starts, repeats included. A full
+        # batch cannot overshoot `target` while `_CHUNK` sets would be
+        # missing even if no kept key repeated, so until then nothing is
+        # counted.
+        keys = np.empty(target, _set_keys(np.empty((k, 0), column), universe_size).dtype)
         kept = 0
-        # A full batch cannot overshoot while `_CHUNK` sets would be missing
-        # even if no kept key repeated, so until then nothing is counted.
         while target - kept >= _CHUNK and budget > 0:
             batch = min(budget, _CHUNK)
             budget -= batch
-            found.append(_candidate_keys(rng, k, batch, smaller))
-            kept += len(found[-1])
+            new = _candidate_keys(rng, k, batch, smaller)
+            keys[kept:kept + len(new)] = new
+            kept += len(new)
         # The tier's distinct keys, sorted.
-        keys = np.concatenate(found)
-        del found
+        keys = keys[:kept]
         keys.sort()
         keys = keys[_heads(keys)]
         while len(keys) < target:
@@ -772,16 +764,15 @@ def generate_family(
                 new.sort()
                 new = new[_heads(new)]
                 keys = np.insert(keys, keys.searchsorted(new), new)
-        tiers.append(_rows_of_keys(keys, universe_size, k, column))
         if k != sizes[-1]:
-            smaller.add(tiers[-1].T, keys)
+            smaller.add(k, keys)
+            keys = keys.copy()
+        tier = padded[:, placed:placed + target]
+        _decode_keys(keys, universe_size, tier[:k])
+        tier[k:] = tier[k - 1]
+        placed += target
         # Not kept beside the row store built below, where the peak RSS is.
         del keys
-    flat = np.concatenate([np.empty(0, column), *(rows.ravel() for rows in tiers)])
-    set_sizes = np.repeat(
-        np.array([rows.shape[1] for rows in tiers], dtype=np.intp),
-        [len(rows) for rows in tiers],
-    )
-    del tiers
-    store = backend.FamilyIndex(universe_size, flat, set_sizes)
+    set_sizes = np.repeat(np.array(sizes, column), [counts[k] for k in sizes])
+    store = backend.FamilyIndex(universe_size, padded, set_sizes)
     return PlantedFamily._of_store(store, seed)

@@ -15,13 +15,18 @@ takes the master seed's entropy pool from numpy's own `SeedSequence`,
 replays only the hashing of the spawn-key words as elementwise uint32
 arithmetic, and so derives the keys of many substreams in one pass;
 `reset_generator` points a reused generator at the start of any of them.
+The first paired run in a process checks the replay against
+`spawn_generator` itself (`_check_stream_keys`).
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 
 import numpy as np
+
+from .errors import ReplayError
 
 # Stream roles. INIT is shared by both algorithms of a paired run (it
 # produces the initial sample); INIT_NOISE supplies the Bernoulli draw
@@ -113,6 +118,33 @@ def stream_keys(master_seed: int, *key) -> np.ndarray:
     state ^= state >> 16
     # Read word pairs as little-endian uint64, as generate_state does.
     return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+# Seeds `_check_stream_keys` derives keys for: the last one of four words,
+# which fills numpy's entropy pool, and the first of five, which outgrows it.
+_CHECK_SEEDS = (2**128 - 1, 2**128)
+
+
+def _check_stream_keys(spawn=spawn_generator) -> None:
+    """Raise ReplayError unless `stream_keys` gives, for a few substreams
+    of each of `_CHECK_SEEDS`, the Philox keys that `spawn` seeds its
+    generators with; the keys' spawn-key words include both ends of a word."""
+    words = np.array([0, 1, _MASK32])
+    for seed in _CHECK_SEEDS:
+        keys = stream_keys(seed, words, ROLE_INIT)
+        seeded = [spawn(seed, w, ROLE_INIT).bit_generator.state["state"]["key"]
+                  for w in words.tolist()]
+        if not np.array_equal(keys, seeded):
+            raise ReplayError(
+                f"numpy {np.__version__}: SeedSequence no longer hashes spawn keys as "
+                "paired runs replay it, so a seed would not give its runs"
+            )
+
+
+@cache
+def _stream_keys_checked() -> None:
+    """`_check_stream_keys`, once per process; it raises again until it passes."""
+    _check_stream_keys()
 
 
 def reset_generator(generator: np.random.Generator, key) -> None:

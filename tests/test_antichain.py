@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from groupsight import InfeasibleCountsError, PlantedFamily, ValidationError, generate_family
 from groupsight import oracle
 from groupsight.oracle import (
-    _CHUNK, _SizeKeys, _Smaller, _draw_sets, _nested, _rows_of_keys, _set_keys,
+    _CHUNK, _SizeKeys, _Smaller, _decode_keys, _draw_sets, _nested, _set_keys,
 )
 from groupsight.rng import ROLE_FAMILY, spawn_generator
 
@@ -263,15 +263,17 @@ class TestKeyWidth:
         "universe_size, width",
         [(2**21, 3), (2**21 + 1, 3), (1000, 6), (1000, 7), (256, 4), (2**32 + 5, 2)],
     )
-    def test_rows_of_keys_invert_the_keys(self, universe_size, width):
+    def test_decoded_columns_invert_the_keys(self, universe_size, width):
         rng = np.random.default_rng(universe_size + width)
         rows = np.sort(rng.integers(0, universe_size, size=(300, width)), axis=1)
         rows[:3] = np.arange(universe_size - width, universe_size)
         rows[3] = np.arange(width)
-        column = np.min_scalar_type(universe_size)
-        back = _rows_of_keys(_set_keys(rows.T, universe_size), universe_size, width, column)
-        assert back.dtype == column
-        assert np.array_equal(back, rows)
+        # The columns a tier takes of the family's padded columns: rows of a
+        # wider array, in its column type.
+        padded = np.zeros((width + 1, 310), np.min_scalar_type(universe_size))
+        _decode_keys(_set_keys(rows.T, universe_size), universe_size, padded[:width, 5:305])
+        assert np.array_equal(padded[:width, 5:305], rows.T)
+        assert not padded[width].any() and not padded[:, :5].any()
 
     @pytest.mark.parametrize("universe_size, counts", EDGE_FAMILIES)
     def test_generation_matches_reference(self, universe_size, counts):
@@ -356,7 +358,7 @@ def smaller_of(universe_size, sets):
     smaller = _Smaller(universe_size)
     for j in sorted(set(map(len, sets))):
         rows = np.array(sorted({s for s in sets if len(s) == j}), dtype=np.int64)
-        smaller.add(rows.T, np.sort(_set_keys(rows.T, universe_size)))
+        smaller.add(j, np.sort(_set_keys(rows.T, universe_size)))
     return smaller
 
 

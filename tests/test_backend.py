@@ -1,5 +1,6 @@
 """The row store that answers a planted family's subset queries."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import InvalidKError, ValidationError, generate_family
+from groupsight import InvalidKError, PlantedFamily, ValidationError, backend, generate_family
 from groupsight.backend import FamilyIndex
 
 from conftest import brute_truth
@@ -117,3 +118,60 @@ def test_index_allocates_under_200_bytes_per_set():
     finally:
         tracemalloc.stop()
     assert allocated / 20_000 < 200
+
+
+def test_generation_peaks_under_40_bytes_per_set():
+    # The padded member columns take 10 bytes a set and the store's order
+    # 8, and a tier's keys 8. Built from one flat member array, with intp
+    # offsets and whole-family check masks, the peak was about 60.
+    generate_family(20, {2: 5}, seed=1)  # the once-per-process replay check
+    tracemalloc.start()
+    try:
+        generate_family(1000, {5: 100_000}, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 100_000 < 40
+
+
+@pytest.mark.parametrize("universe_size, counts, column", [
+    pytest.param(1000, {2: 300, 3: 300, 5: 3000}, np.uint16, id="int64-keys"),
+    pytest.param(1000, {3: 20, 7: 20, 8: 20}, np.uint16, id="void-keys"),
+    pytest.param(10, {}, np.uint8, id="empty"),
+    pytest.param(70_000, {2: 50, 3: 50}, np.uint32, id="32-bit-columns"),
+])
+def test_generated_store_equals_the_one_built_from_planted(universe_size, counts, column):
+    family = generate_family(universe_size, counts, seed=5)
+    built, rebuilt = family._index, FamilyIndex(universe_size, family.planted)
+    assert len(built.columns) == len(rebuilt.columns) == max(counts, default=0)
+    for a, b in zip((*built.columns, built.starts, built.sizes, built.order),
+                    (*rebuilt.columns, rebuilt.starts, rebuilt.sizes, rebuilt.order)):
+        assert a.dtype == b.dtype and a.flags.c_contiguous and b.flags.c_contiguous
+        assert np.array_equal(a, b)
+    assert all(col.dtype == column for col in built.columns)
+
+
+def test_every_family_build_calls_the_store_constructor_once(monkeypatch, tmp_path):
+    # A class put in place of `backend.FamilyIndex` (a timed subclass, say)
+    # sees each build, so each must go through the constructor.
+    calls = []
+
+    class Counting(backend.FamilyIndex):
+        def __init__(self, *args, **kwargs):
+            calls.append(1)
+            super().__init__(*args, **kwargs)
+
+    path = tmp_path / "family.json"
+    generate_family(40, {2: 10, 3: 10}, seed=3).save(path)
+    monkeypatch.setattr(backend, "FamilyIndex", Counting)
+    builds = {
+        "generate_family": lambda: generate_family(40, {2: 10, 3: 10}, seed=3),
+        "PlantedFamily": lambda: PlantedFamily(40, ((0, 1), (2, 3, 4))),
+        "load": lambda: PlantedFamily.load(path),
+        "from_json_dict": lambda: PlantedFamily.from_json_dict(json.loads(path.read_text())),
+    }
+    for name, build in builds.items():
+        calls.clear()
+        family = build()
+        assert calls == [1], name
+        assert type(family._index) is Counting, name

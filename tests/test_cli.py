@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import PlantedFamily, RunOutcome, cli, draws, harness
+from groupsight import PlantedFamily, RunOutcome, cli, draws, harness, rng
 from groupsight.bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from groupsight.cli import RUN_SETTINGS, main
 from groupsight.harness import read_run_log
@@ -229,6 +229,27 @@ class TestRun:
         ])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_numpy_that_seeds_otherwise_exits_4(self, family_file, tmp_path, capsys,
+                                                 monkeypatch):
+        # A SeedSequence that hashes one more spawn-key word stands for a
+        # numpy whose hash changed.
+        def spawn(master_seed, *key):
+            seq = np.random.SeedSequence(master_seed, spawn_key=(*key, 0))
+            return np.random.Generator(np.random.Philox(seq))
+
+        monkeypatch.setattr(rng._check_stream_keys, "__defaults__", (spawn,))
+        rng._stream_keys_checked.cache_clear()
+        out = tmp_path / "o"
+        try:
+            code = run_cli(["run", "--family", str(family_file), "--a0", "8",
+                            "--runs", "5", "-o", str(out)])
+        finally:
+            rng._stream_keys_checked.cache_clear()
+        assert code == cli.EXIT_REPLAY == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: numpy {np.__version__}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_family_file_is_io_error(self, tmp_path):

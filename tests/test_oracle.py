@@ -1011,7 +1011,7 @@ class TestFamilyChecks:
 
     @pytest.mark.parametrize("universe_size, planted, expected", DEFECTS)
     def test_single_defect_in_members_and_sizes(self, universe_size, planted, expected):
-        # The store built from all members one after another, as generation
+        # The store built from all members one after another, as `load`
         # builds it, checks the sets as the one built from tuples does.
         exc_type, message = expected
         members = np.array([v for p in planted for v in p], dtype=np.int64)

@@ -4,12 +4,17 @@
 against `SeedSequence` and `spawn_generator` themselves.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupsight import ROLE_INIT, ROLE_RC, ROLE_SIGHT, spawn_generator
+from groupsight import (
+    ROLE_INIT, ROLE_RC, ROLE_SIGHT, ExperimentConfig, ReplayError, generate_family,
+    rng, run_pair, spawn_generator,
+)
 from groupsight.rng import ROLE_INIT_NOISE, reset_generator, stream_keys
 
 
@@ -132,3 +137,55 @@ def test_reset_clears_a_cached_32_bit_half():
     assert gen.random(dtype=np.float32) == ref.random(dtype=np.float32)
     assert gen.integers(0, 2**31, 3).tolist() == ref.integers(0, 2**31, 3).tolist()
     assert gen.random(4).tolist() == ref.random(4).tolist()
+
+
+class OneWordMore(np.random.SeedSequence):
+    """A SeedSequence that hashes one spawn-key word more than numpy's."""
+
+    def __init__(self, entropy=None, *, spawn_key=()):
+        super().__init__(entropy, spawn_key=(*spawn_key, 0))
+
+
+def spawn_one_word_more(master_seed, *key):
+    return np.random.Generator(np.random.Philox(OneWordMore(master_seed, spawn_key=key)))
+
+
+class TestStreamKeysCheck:
+    """The first paired run in a process checks `stream_keys` against
+    `spawn_generator`'s Philox keys."""
+
+    def test_seeds_span_the_four_to_five_word_edge(self):
+        assert set(rng._CHECK_SEEDS) <= set(EDGE_SEEDS)
+        assert [(seed.bit_length() + 31) // 32 for seed in rng._CHECK_SEEDS] == [4, 5]
+
+    def test_passes_on_this_numpy(self):
+        rng._check_stream_keys()
+
+    def test_a_seed_sequence_one_word_apart_raises(self):
+        with pytest.raises(ReplayError, match=re.escape(f"numpy {np.__version__}")):
+            rng._check_stream_keys(spawn_one_word_more)
+
+    def test_runs_once_per_process(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rng, "_check_stream_keys", lambda: calls.append(1))
+        family = generate_family(30, {2: 10}, seed=1)
+        config = ExperimentConfig(a0_grid=(8,), runs_per_cell=2, k_max=3)
+        rng._stream_keys_checked.cache_clear()
+        try:
+            for pair_id in (0, 1):
+                run_pair(family, config, 8, pair_id)
+        finally:
+            rng._stream_keys_checked.cache_clear()
+        assert calls == [1]
+
+    def test_a_failed_check_raises_on_every_paired_run(self, monkeypatch):
+        monkeypatch.setattr(rng._check_stream_keys, "__defaults__", (spawn_one_word_more,))
+        family = generate_family(30, {2: 10}, seed=1)
+        config = ExperimentConfig(a0_grid=(8,), runs_per_cell=2, k_max=3)
+        rng._stream_keys_checked.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(ReplayError):
+                    run_pair(family, config, 8, 0)
+        finally:
+            rng._stream_keys_checked.cache_clear()
