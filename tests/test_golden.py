@@ -27,6 +27,12 @@ SUMMARY_SHA256 = "dea708b3e4ec844d5f457fd08af93fee4d560af56b16dfdc2041c96e10bbf8
 K6_RUNS_SHA256 = "16ed455c5dbcfa05b3cfb23efcb352bf9b0016dca9382bfeb5ebd93c6883e3ff"
 K6_SUMMARY_SHA256 = "eb77510ebffc14de76b3ecb46550ca10a5c95b923c4e1f54f2c40d5700deaf89"
 
+# A noise-on run at a0 80 and 176 on the benchmark's 31,200-set family,
+# p_fn 0.01: rc draws subsets of up to 88 nodes and the masks are up to
+# 176 bits wide, beyond the 48-node samples of the runs above.
+LARGE_A0_RUNS_SHA256 = "884891584f35fd45e4b5b40a0d0390a4d61de041214e6482778ef05cfcd2f117"
+LARGE_A0_SUMMARY_SHA256 = "6be2a3a895aefb44c6d453db20310014b57ced781262ee14eb1c2bece740a389"
+
 # `groupsight generate` bytes of the benchmark's 31,200-set family, of its
 # 301,200-set acceptance family (pinned before generation drew its batches
 # as member columns from raw 32-bit words), of a family whose set keys are
@@ -92,6 +98,26 @@ def test_run_bytes(golden_family, tmp_path, threads):
     ]) == 0
     assert sha256(out / "runs.jsonl") == RUNS_SHA256
     assert sha256(out / "summary.csv") == SUMMARY_SHA256
+
+
+@pytest.fixture(scope="module")
+def cli_family(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "fam.json"
+    args = GENERATE_SHA256["n1000-k2-k3-k4-k5"][0]
+    assert cli_main(["generate", *args, "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_bytes_at_large_a0(cli_family, tmp_path, threads):
+    out = tmp_path / "out"
+    assert cli_main([
+        "run", "--family", str(cli_family), "--a0", "80,176", "--runs", "100",
+        "--pfn", "0.01", "--seed", "7", "--threads", str(threads),
+        "--label", "large-a0", "-o", str(out),
+    ]) == 0
+    assert sha256(out / "runs.jsonl") == LARGE_A0_RUNS_SHA256
+    assert sha256(out / "summary.csv") == LARGE_A0_SUMMARY_SHA256
 
 
 def test_run_bytes_at_k_max_6(tmp_path):
