@@ -9,7 +9,7 @@ masks of one sample, over which a paired run makes every test.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from itertools import chain
 
 import numpy as np
@@ -164,6 +164,19 @@ class FamilyIndex:
                 masks = [m | 1 << p for m, p in zip(masks, bits)]
             masks.sort(key=int.bit_count)
         return FamilyProjection(tuple(nodes), tuple(masks))
+
+    def tier_slices(self, k: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """The sets of size k, `_SPAN` rows at a time in row order: each
+        slice of rows, the mask of its sets of size k, and their member
+        rows (row c holds each set's member c).
+
+        `order[rows].compress(mine)` gives those sets' positions in the
+        order they were given.
+        """
+        for lo in range(0, len(self.sizes), _SPAN):
+            rows = slice(lo, lo + _SPAN)
+            mine = self.sizes[rows] == k
+            yield rows, mine, np.array([col[rows].compress(mine) for col in self.columns[:k]])
 
     def contains_defective(self, nodes: Collection[int]) -> bool:
         """True iff some planted set is a subset of `nodes`."""

@@ -18,7 +18,10 @@ every test of both, since each query is a subset of the initial sample.
 All randomness is derived from (master seed, a0, run index, role)
 substreams, so results are byte-identical for a given configuration no
 matter how many worker processes execute the grid. With more than one
-thread, one worker pool serves every cell of an experiment.
+thread, one worker pool serves every cell of an experiment. Its class,
+`ProcessPoolExecutor`, is imported when first read (PEP 562), so only a
+run that starts a pool loads `concurrent.futures` and `multiprocessing`
+(about 2 MB resident); a class bound in its place is the one started.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ import json
 import math
 import os
 import statistics
+import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +57,9 @@ from .rng import (
 )
 from .sight import SightConfig, run_sight
 from .stats import mann_whitney_u
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 DEFAULT_RHOS = (1.0, 10.0, 50.0, 100.0)
 
@@ -248,6 +254,16 @@ def _chunks(config: ExperimentConfig) -> list[tuple[int, int]]:
     return [(start, min(start + size, runs)) for start in range(0, runs, size)]
 
 
+def __getattr__(name: str):
+    # Called only while `ProcessPoolExecutor` is unbound here: until its
+    # first read, or a test or tracer binds a class in its place.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -384,7 +400,8 @@ def run_experiment(family: PlantedFamily, config: ExperimentConfig) -> Experimen
     # spawn one per submit. So the pool gets no more than the usable CPUs
     # or a cell's chunks.
     if config.threads > 1:
-        workers = ProcessPoolExecutor(
+        # Read through the module, so a class bound in its place is started.
+        workers = sys.modules[__name__].ProcessPoolExecutor(
             max_workers=min(config.threads, _usable_cpus(), len(_chunks(config))),
             initializer=_init_worker,
             initargs=(family, config),

@@ -154,42 +154,45 @@ class PlantedFamily:
         The error names the first set, in `planted` order, that repeats
         an earlier one, or if none does, the first that contains a
         smaller planted set. Both checks run on `_set_keys` of the row
-        store, one size at a time, and `store.order` gives each row's
-        position in `planted`, so `planted` is not made.
+        store, one size at a time and `backend._SPAN` rows at a time
+        (`FamilyIndex.tier_slices`), and `store.order` gives each row's
+        position in `planted`, so `planted` is not made. A size's keys
+        are one array, sorted in place to find repeats; only the smaller
+        sizes' are kept, as the nesting check's lookups.
         """
         store = self._index
         n = self.universe_size
-        tiers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Not `np.unique`: its first call in a process imports `numpy.ma`.
+        counts = np.bincount(store.sizes)
+        sizes = np.flatnonzero(counts).tolist()
+        ordered: dict[int, np.ndarray] = {}
         # (position in `planted`, set) of the first offender of each size.
         repeated: list[tuple[int, KSet]] = []
-        # Not `np.unique`: its first call in a process imports `numpy.ma`.
-        for k in np.flatnonzero(np.bincount(store.sizes)).tolist():
-            pick = np.flatnonzero(store.sizes == k)
-            # Member rows: the store's own columns, taken at these sets.
-            columns = np.array([col.take(pick) for col in store.columns[:k]])
-            keys = _set_keys(columns, n)
-            ordered = np.sort(keys)
-            repeats = ordered[1:] == ordered[:-1]
-            if repeats.any():
-                # Equal sets share their minimum, so the store keeps them in
-                # `planted` order: all but the first of each key repeat one.
-                again = np.argsort(keys, kind="stable")[1:][repeats]
-                repeated.append(_first(store.order.take(pick), columns, again))
-            tiers[k] = columns, ordered
+        for k in sizes:
+            keys = np.empty(counts[k], _set_keys(np.empty((k, 0), np.intp), n).dtype)
+            at = 0
+            for _, _, columns in store.tier_slices(k):
+                keys[at:at + columns.shape[1]] = _set_keys(columns, n)
+                at += columns.shape[1]
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                repeated.append(_first_repeat(store, k))
+            if k != sizes[-1]:
+                ordered[k] = keys
+            del keys
         if repeated:
             raise _not_antichain(min(repeated)[1])
-        sizes = list(tiers)
         smaller = _Smaller(n)
         nesting: list[tuple[int, KSet]] = []
         for j, k in zip(sizes, sizes[1:]):
-            smaller.add(j, tiers[j][1])
-            columns = tiers[k][0]
-            for lo in range(0, columns.shape[1], _CHUNK):
-                chunk = columns[:, lo:lo + _CHUNK]
-                hit = np.flatnonzero(_nested(chunk, smaller))
-                if hit.size:
-                    pick = np.flatnonzero(store.sizes == k)[lo:lo + _CHUNK]
-                    nesting.append(_first(store.order.take(pick), chunk, hit))
+            smaller.add(j, ordered.pop(j))
+            for rows, mine, columns in store.tier_slices(k):
+                for lo in range(0, columns.shape[1], _CHUNK):
+                    chunk = columns[:, lo:lo + _CHUNK]
+                    hit = np.flatnonzero(_nested(chunk, smaller))
+                    if hit.size:
+                        place = store.order[rows].compress(mine)[lo:lo + _CHUNK]
+                        nesting.append(_first(place, chunk, hit))
         if nesting:
             raise _not_antichain(min(nesting)[1])
 
@@ -549,6 +552,25 @@ def _heads(ordered: np.ndarray) -> np.ndarray:
     # The operator, not the ufunc: only it compares void keys.
     heads[1:] = ordered[1:] != ordered[:-1]
     return heads
+
+
+def _first_repeat(store: backend.FamilyIndex, k: int) -> tuple[int, KSet]:
+    """Of the sets of size k that repeat an earlier one, the one first in
+    `planted` order, as (position, set).
+
+    Equal sets share their minimum, so the store keeps them in `planted`
+    order: all but the first of each key repeat one.
+    """
+    places, parts = zip(*(
+        (store.order[rows].compress(mine), columns)
+        for rows, mine, columns in store.tier_slices(k)
+    ))
+    columns = np.concatenate(parts, axis=1)
+    keys = _set_keys(columns, store.universe_size)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys.take(order)
+    again = order[1:][ordered[1:] == ordered[:-1]]
+    return _first(np.concatenate(places), columns, again)
 
 
 def _first(

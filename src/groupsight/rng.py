@@ -152,7 +152,10 @@ def reset_generator(generator: np.random.Generator, key) -> None:
 
     The counter, the output buffer and any cached 32-bit half go back to
     their state in a freshly seeded Philox, so the generator then draws
-    exactly what `Generator(Philox(key=key))` would.
+    exactly what `Generator(Philox(key=np.array(key, dtype=np.uint64)))`
+    would. `key` may be a list of two ints: the state takes each word
+    exactly, where `Philox(key=...)` given such a list rounds a word above
+    2**53 through float64.
     """
     generator.bit_generator.state = {
         "bit_generator": "Philox",

@@ -8,6 +8,7 @@ one set at a time, which is how both worked before.
 
 import json
 import pickle
+import tracemalloc
 from itertools import combinations
 from math import comb
 from unittest.mock import patch
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupsight import InfeasibleCountsError, PlantedFamily, ValidationError, generate_family
-from groupsight import oracle
+from groupsight import backend, oracle
 from groupsight.oracle import (
     _CHUNK, _SizeKeys, _Smaller, _decode_keys, _draw_sets, _nested, _set_keys,
 )
@@ -134,6 +135,52 @@ class TestValidationMatchesReference:
     def test_named_offender(self, planted, offender):
         assert reference_offender(planted) == offender
         assert validation_outcome(10, planted) == expected_validation(planted)
+
+
+class TestValidationInSlices:
+    """Validation keys and checks each size `backend._SPAN` store rows at a
+    time; an offender is named the same however the rows are cut."""
+
+    @pytest.mark.parametrize("span", [1, 3])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(family=small_families())
+    def test_same_offending_set_at_any_span(self, span, family):
+        n, planted = family
+        with patch.object(backend, "_SPAN", span):
+            assert validation_outcome(n, planted) == expected_validation(planted)
+
+    @pytest.mark.parametrize(
+        "planted, offender",
+        [
+            # Rows go by minimum member, so with two rows a slice the copies
+            # of (0, 1, 2) are rows 0 and 2, in different slices.
+            (((0, 1, 2), (0, 1, 3), (0, 1, 2), (5, 6)), (0, 1, 2)),
+            # (4, 5, 6)'s second copy comes first in `planted` but lies in a
+            # later slice than (0, 1, 2)'s copies.
+            (((4, 5, 6), (0, 1, 2), (0, 1, 3), (4, 5, 6), (0, 1, 2)), (4, 5, 6)),
+            # (6, 7, 8) nests (7, 8) and comes before (0, 1, 2), which
+            # nests (1, 2) in the first slice.
+            (((1, 2), (7, 8), (6, 7, 8), (3, 4, 5), (0, 1, 2)), (6, 7, 8)),
+        ],
+        ids=["repeat-across-slices", "repeat-in-a-later-slice", "nest-in-a-later-slice"],
+    )
+    def test_named_offender_across_slices(self, planted, offender):
+        assert reference_offender(planted) == offender
+        with patch.object(backend, "_SPAN", 2):
+            assert validation_outcome(10, planted) == expected_validation(planted)
+
+    def test_peaks_under_20_bytes_per_set(self):
+        # The largest size's keys take 8 bytes a set, sorted in place; a
+        # slice's temporaries are bounded by `backend._SPAN`. Stacking each
+        # size's member rows and sorting a copy of its keys peaked at 35.
+        family = generate_family(1000, {5: 300_000}, seed=7)
+        tracemalloc.start()
+        try:
+            family.validate_antichain()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 300_000 < 20
 
 
 class TestValidationReadsTheStore:

@@ -1029,6 +1029,43 @@ class TestEntryPoints:
                 importing.append(args[0])
         assert importing == []
 
+    def test_only_a_pool_run_imports_the_pool(self, tmp_path):
+        # `concurrent.futures` and `multiprocessing` (with `logging` and
+        # `socket`) hold about 2 MB resident. `generate`, `stats` and a
+        # one-thread `run` never start a pool, so a fresh process that runs
+        # them must not import it; `harness.ProcessPoolExecutor` still reads
+        # as the class, and a class bound in its place is the one started.
+        fam, out = tmp_path / "fam.json", tmp_path / "out"
+        script = (
+            "import sys\n"
+            "import groupsight\n"
+            "import groupsight.cli\n"
+            "from groupsight import ExperimentConfig, PlantedFamily, harness, run_experiment\n"
+            f"fam, out = {str(fam)!r}, {str(out)!r}\n"
+            "main = groupsight.cli.main\n"
+            "assert main(['generate', '--n', '60', '--k2', '10', '--k3', '10', '-o', fam]) == 0\n"
+            "assert main(['run', '--family', fam, '--a0', '8,16', '--runs', '5',\n"
+            "             '--threads', '1', '-o', out]) == 0\n"
+            "assert main(['stats', '--log', out + '/runs.jsonl']) == 0\n"
+            "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "assert harness.ProcessPoolExecutor is ProcessPoolExecutor\n"
+            "started = []\n"
+            "class Counting(harness.ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        started.append(kwargs['max_workers'])\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "harness.ProcessPoolExecutor = Counting\n"
+            "config = ExperimentConfig(a0_grid=(8,), runs_per_cell=4, threads=2)\n"
+            "pooled = run_experiment(PlantedFamily.load(fam), config)\n"
+            "assert len(started) == 1, started\n"
+            "alone = run_experiment(PlantedFamily.load(fam), ExperimentConfig((8,), 4))\n"
+            "assert pooled.cells == alone.cells\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_help_mentions_all_subcommands(self, capsys):
         with pytest.raises(SystemExit):
             run_cli(["--help"])

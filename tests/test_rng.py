@@ -125,6 +125,19 @@ def test_reset_generator_draws_like_spawn_generator():
             assert draw(gen) == draw(spawn_generator(2**40 + 9, *key))
 
 
+def test_reset_generator_keeps_key_words_above_2_53():
+    # Philox(key=...) given a list of ints above 2**53 rounds them through
+    # float64 (numpy 2.4.6 seeds [12016621291982073856, 4694391726189250560]
+    # here), so the reference is the key as a uint64 array.
+    key = [12016621291982073722, 4694391726189250763]
+    gen = np.random.Generator(np.random.Philox(key=0))
+    reset_generator(gen, key)
+    ref = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    assert gen.bit_generator.state["state"]["key"].tolist() == key
+    assert gen.integers(0, 2**63, 8).tolist() == ref.integers(0, 2**63, 8).tolist()
+    assert gen.random(4).tolist() == ref.random(4).tolist()
+
+
 def test_reset_clears_a_cached_32_bit_half():
     gen = np.random.Generator(np.random.Philox(key=0))
     key = stream_keys(5, 8, 1, ROLE_INIT)[0].tolist()
