@@ -60,7 +60,8 @@ class FamilyIndex:
     sets' padded columns (see `_padded`), which the store takes over and
     sorts in place. The first set that is smaller than 2, not strictly
     ascending or out of range raises, with the first of those checks it
-    fails.
+    fails. `order` is uint32, so a universe or a family of more than
+    2**32 raises first.
     """
 
     __slots__ = ("universe_size", "columns", "starts", "sizes", "order")
@@ -71,6 +72,11 @@ class FamilyIndex:
         planted: Sequence[Sequence[int]] | np.ndarray,
         sizes: np.ndarray | None = None,
     ):
+        if not _is_integer(universe_size):
+            raise ValidationError("universe_size must be an integer")
+        # Before anything is allocated: `starts` alone would take 32 GiB.
+        if universe_size > _LIMIT or len(planted if sizes is None else sizes) > _LIMIT:
+            raise ValidationError("a store holds at most 2**32 nodes and 2**32 sets")
         if sizes is None:
             members, sizes = _members(universe_size, planted)
         else:
@@ -81,11 +87,17 @@ class FamilyIndex:
         del members
         _check_sets(padded, sizes, universe_size)
         padded = padded.astype(np.min_scalar_type(universe_size), order="C", copy=False)
-        # One stable sort by minimum member; each column is then permuted in
-        # place, so that the build holds one column more than the store.
-        order = (padded[0] if len(padded) else sizes).argsort(kind="stable")
+        order = _by_minimum(padded[0] if len(padded) else padded.reshape(-1))
+        # Each column is permuted through one spare column, so that the build
+        # holds one column more than the store. `take` copies its indices to
+        # intp, so it takes `_SPAN` of them at a time, and with mode "raise"
+        # it would buffer `out` too.
+        spare = np.empty(len(order), padded.dtype)
         for col in padded:
-            col[:] = col.take(order)
+            for lo in range(0, len(order), _SPAN):
+                col.take(order[lo:lo + _SPAN], out=spare[lo:lo + _SPAN], mode="clip")
+            col[:] = spare
+        del spare
         self.columns = tuple(padded)
         # Not `bincount`, which first copies the column to intp.
         self.starts = np.full(universe_size + 1, len(order), dtype=np.intp)
@@ -94,7 +106,9 @@ class FamilyIndex:
                 np.arange(universe_size, dtype=padded.dtype))
         # Made last: made before the columns, it kept about 1.3 MB more
         # resident after generating a 31,200-set family (glibc heap layout).
-        self.sizes = sizes.astype(np.min_scalar_type(len(padded))).take(order)
+        self.sizes = np.empty(len(order), np.min_scalar_type(len(padded)))
+        for lo in range(0, len(order), _SPAN):
+            self.sizes[lo:lo + _SPAN] = sizes[order[lo:lo + _SPAN]]
         self.order = order
         self.universe_size = universe_size
 
@@ -213,6 +227,26 @@ def _is_integer(value) -> bool:
 
 # Most sets `_padded` and `_check_sets` take at once, to bound their temporaries.
 _SPAN = 1 << 16
+
+# Most nodes, and most sets, a store holds: `order` and the sort keys' low
+# halves are uint32.
+_LIMIT = 1 << 32
+
+
+def _by_minimum(first: np.ndarray) -> np.ndarray:
+    """The stable order of the sets whose minima are `first`, as uint32.
+
+    Set i's key is (first[i] << 32) | i: the index breaks ties, so the
+    keys sorted in place, with no buffer beside them, give the stable
+    order in their low halves. The indices are filled `_SPAN` at a time.
+    """
+    key = first.astype(np.uint64)
+    key <<= 32
+    for lo in range(0, len(key), _SPAN):
+        part = key[lo:lo + _SPAN]
+        part |= np.arange(lo, lo + len(part), dtype=np.uint64)
+    key.sort()
+    return key.astype(np.uint32)
 
 
 def _padded(members: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from .errors import ValidationError
-from .oracle import Oracle, PlantedFamily, TestLedger, _is_int, sample
+from .oracle import Oracle, PlantedFamily, TestLedger, _by_fields, _is_int, sample
 from .rc import RcConfig, build_schedule, run_rc
 from .results import RunOutcome, RunResult
 from .rng import (
@@ -108,13 +108,15 @@ def check_rhos(rhos: Sequence[float]) -> None:
         raise ValidationError("cost ratios must be distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairResult:
     """One paired run: both samplers started from the same initial sample."""
 
     pair_id: int
     sight: RunResult
     rc: RunResult
+
+    __reduce__ = _by_fields
 
 
 @dataclass(frozen=True)

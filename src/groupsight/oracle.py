@@ -591,12 +591,24 @@ def _not_antichain(p: KSet) -> ValidationError:
     )
 
 
-@dataclass
+def _by_fields(record) -> tuple:
+    """`__reduce__` of a slotted dataclass: its class and field values.
+
+    The default one made by `slots=True` runs `__getstate__` and
+    `__setstate__` in Python, which doubled the time to pickle the
+    records a worker sends back.
+    """
+    return type(record), tuple(map(record.__getattribute__, record.__slots__))
+
+
+@dataclass(slots=True)
 class TestLedger:
     """Counts of charged positive and negative tests for one run."""
 
     positives: int = 0
     negatives: int = 0
+
+    __reduce__ = _by_fields
 
     @property
     def total(self) -> int:
@@ -607,7 +619,7 @@ class TestLedger:
         return self.positives * rho + self.negatives
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Oracle:
     """Defectiveness oracle over a planted family.
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .backend import FamilyProjection
 from .errors import ValidationError
-from .oracle import KSet, Oracle, TestLedger
+from .oracle import KSet, Oracle, TestLedger, _by_fields
 
 # Registry of the tests already submitted to the oracle this run, each as
 # its mask over the run's sample, with the answer observed.
@@ -27,7 +27,7 @@ class RunOutcome(str, Enum):
     ABORT_NO_MINIMAL = "AbortNoMinimal"     # final bottom-up search found nothing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     """Outcome of one sampler run plus its test ledger.
 
@@ -43,6 +43,8 @@ class RunResult:
     found: KSet | None = None
     abort_step: int | None = None
     positives_pre_bottom_up: int | None = None
+
+    __reduce__ = _by_fields
 
     @property
     def is_find(self) -> bool:

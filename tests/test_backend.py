@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -120,10 +121,12 @@ def test_index_allocates_under_200_bytes_per_set():
     assert allocated / 20_000 < 200
 
 
-def test_generation_peaks_under_40_bytes_per_set():
-    # The padded member columns take 10 bytes a set and the store's order
-    # 8, and a tier's keys 8. Built from one flat member array, with intp
-    # offsets and whole-family check masks, the peak was about 60.
+def test_generation_peaks_under_28_bytes_per_set():
+    # The padded member columns take 10 bytes a set, a tier's keys 8, and
+    # `np.insert` a copy of those keys: 27.2 in all. The store's uint32
+    # order (4) and its sort keys (8) come after the keys are gone. Built
+    # from one flat member array, with intp offsets and whole-family check
+    # masks, the peak was about 60.
     generate_family(20, {2: 5}, seed=1)  # the once-per-process replay check
     tracemalloc.start()
     try:
@@ -131,7 +134,71 @@ def test_generation_peaks_under_40_bytes_per_set():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 100_000 < 40
+    assert peak / 100_000 < 28
+
+
+def test_store_build_peaks_under_13_bytes_per_set():
+    # Beyond the padded columns it takes over: the sort keys (8 bytes a
+    # set) and the uint32 order (4), held together once. An intp order
+    # would make that 16; an argsort's radix buffer is not traced at all.
+    count = 200_000
+    store = generate_family(1000, {5: count}, seed=7)._index
+    padded, sizes = np.array(store.columns), store.sizes.astype(np.intp)
+    tracemalloc.start()
+    try:
+        FamilyIndex(1000, padded, sizes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / count < 13
+
+
+class TestOrder:
+    def test_order_is_uint32_from_every_entry_point(self, tmp_path):
+        path = tmp_path / "family.json"
+        generate_family(40, {2: 10, 3: 10}, seed=3).save(path)
+        builds = {
+            "constructor": lambda: FamilyIndex(40, [(0, 1), (2, 3, 4)]),
+            "generate_family": lambda: generate_family(40, {2: 10, 3: 10}, seed=3)._index,
+            "load": lambda: PlantedFamily.load(path)._index,
+            "from_json_dict": lambda: PlantedFamily.from_json_dict(
+                json.loads(path.read_text()))._index,
+        }
+        for name, build in builds.items():
+            assert build().order.dtype == np.uint32, name
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_order_is_the_stable_argsort_of_the_minima(self, data):
+        # A small universe and 20 to 100 sets, so most sets share their
+        # minimum with many others, repeats included. Past 16 rows an
+        # unstable sort (numpy's quicksort) reorders equal minima.
+        n = data.draw(st.integers(2, 8))
+        every = [p for k in range(2, n + 1) for p in combinations(range(n), k)]
+        planted = data.draw(st.lists(st.sampled_from(every), min_size=20, max_size=100))
+        store = FamilyIndex(n, planted)
+        first = np.array([p[0] for p in planted], dtype=np.intp)
+        assert np.array_equal(store.order, np.argsort(first, kind="stable"))
+        rows = [tuple(sorted(set(row))) for row in zip(*(c.tolist() for c in store.columns))]
+        assert rows == [tuple(planted[i]) for i in store.order.tolist()]
+
+    def test_more_than_2_to_the_32_raises_before_any_allocation(self):
+        # Zero-stride views stand for 2**32 + 1 sets without holding them.
+        many = 2**32 + 1
+        builds = (
+            lambda: FamilyIndex(many, [(0, 1)]),
+            lambda: FamilyIndex(10, np.broadcast_to(np.uint8(1), (2, many)),
+                                np.broadcast_to(np.intp(2), many)),
+        )
+        for build in builds:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValidationError, match="2\\*\\*32"):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 10_000
 
 
 @pytest.mark.parametrize("universe_size, counts, column", [

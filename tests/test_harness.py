@@ -5,7 +5,9 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import pickle
 import random
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 
 import pytest
@@ -16,6 +18,7 @@ from groupsight import (
     ROLE_RC,
     ROLE_SIGHT,
     ExperimentConfig,
+    Oracle,
     PairResult,
     RcConfig,
     RunOutcome,
@@ -527,3 +530,53 @@ def test_window_and_budget_defaults_agree():
     assert (experiment.k_min, experiment.k_max, experiment.t_max) == (
         rc.k_min, rc.k_max, rc.t_max
     )
+
+
+class TestRecords:
+    """The records a paired run makes and keeps are slotted dataclasses."""
+
+    def records(self, family):
+        ledger = Ledger(positives=2, negatives=3)
+        oracle = oracle_over(family, list(range(8)), p_fn=0.1)
+        run = find("sight", 2, 3, found=(0, 1))
+        return ledger, oracle, run, PairResult(pair_id=4, sight=run, rc=abort("rc", 1, 2))
+
+    def test_slotted_frozen_where_they_were_and_replaceable(self, family):
+        ledger, oracle, run, pair = self.records(family)
+        for record in (ledger, oracle, run, pair):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+        for record, name in ((oracle, "p_fn"), (run, "a0"), (pair, "pair_id")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0)
+        ledger.positives += 1
+        assert ledger.total == 6
+        assert dataclasses.replace(ledger, negatives=0) == Ledger(positives=3, negatives=0)
+        assert dataclasses.replace(oracle, p_fn=0.2).p_fn == 0.2
+        with pytest.raises(ValidationError):
+            dataclasses.replace(oracle, p_fn=1.0)
+        assert dataclasses.replace(run, a0=16) == find("sight", 2, 3, found=(0, 1), a0=16)
+        assert dataclasses.replace(pair, pair_id=5).rc is pair.rc
+
+    def test_a_chunk_of_pairs_survives_pickling(self, family, config):
+        pairs = harness._run_pairs(family, config, 16, 0, 40)
+        assert {pair.rc.outcome for pair in pairs} > {RunOutcome.FOUND}
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(pairs, protocol=protocol))
+            assert back == pairs
+            assert [type(r) for p in back for r in (p, p.sight, p.rc, p.rc.ledger)] == [
+                type(r) for p in pairs for r in (p, p.sight, p.rc, p.rc.ledger)]
+
+    def test_a_pair_keeps_under_600_bytes(self):
+        # The benchmark's sparse family at one of its cells. With a `__dict__`
+        # on each record a pair kept about 700 bytes; without, about 480.
+        family = generate_family(1000, {2: 400, 3: 400, 4: 400}, seed=20250810)
+        config = ExperimentConfig(a0_grid=(48,), runs_per_cell=1000, master_seed=1)
+        harness._run_pairs(family, config, 48, 0, 10)  # per-process checks and caches
+        tracemalloc.start()
+        try:
+            pairs = harness._run_pairs(family, config, 48, 0, 1000)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 1000
+        assert kept / 1000 <= 600
