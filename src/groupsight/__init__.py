@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
+    CellRuns,
     CellSummary,
     ExperimentConfig,
     ExperimentResult,
@@ -60,6 +61,7 @@ from .stats import MannWhitneyResult, mann_whitney_u
 __version__ = "0.1.0"
 
 __all__ = [
+    "CellRuns",
     "CellSummary",
     "EmptySelectionError",
     "ExperimentConfig",

@@ -254,12 +254,15 @@ def _padded(members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     of them for set i: row j holds members[min(head + j, end - 1)] of set
     i. A set of no members takes another's, and fails the size check.
     """
-    ends = sizes.cumsum(dtype=np.intp)
     padded = np.empty((int(sizes.max()) if sizes.size else 0, len(sizes)), members.dtype)
     steps = np.arange(len(padded))[:, None]
+    head = 0  # the members of the sets before this span
     for lo in range(0, len(sizes), _SPAN):
-        end = ends[lo:lo + _SPAN]
-        at = (end - sizes[lo:lo + _SPAN]) + steps
+        size = sizes[lo:lo + _SPAN]
+        end = size.cumsum(dtype=np.intp)
+        end += head
+        head = int(end[-1])
+        at = (end - size) + steps
         np.minimum(at, end - 1, out=at)
         padded[:, lo:lo + _SPAN] = members.take(at)
     return padded

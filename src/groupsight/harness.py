@@ -14,6 +14,8 @@ resets four reused generators to each pair's keys. A pair draws its
 initial sample, projects the planted family onto it and hands
 `run_sight` and `run_rc` one oracle over that projection, which answers
 every test of both, since each query is a subset of the initial sample.
+A cell keeps its runs as columns (`CellRuns`), with each distinct found
+set once, and makes a pair's records only when they are read.
 
 All randomness is derived from (master seed, a0, run index, role)
 substreams, so results are byte-identical for a given configuration no
@@ -29,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 import statistics
 import sys
@@ -37,15 +40,15 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .bounds import rc_max_positive, rc_max_tests, sight_max_tests
 from .errors import ValidationError
-from .oracle import Oracle, PlantedFamily, TestLedger, _by_fields, _is_int, sample
+from .oracle import KSet, Oracle, PlantedFamily, TestLedger, _is_int, sample
 from .rc import RcConfig, build_schedule, run_rc
-from .results import RunOutcome, RunResult
+from .results import RunOutcome, RunResult, run_record
 from .rng import (
     ROLE_INIT,
     ROLE_INIT_NOISE,
@@ -59,6 +62,7 @@ from .sight import SightConfig, run_sight
 from .stats import mann_whitney_u
 
 if TYPE_CHECKING:
+    from array import array
     from concurrent.futures import ProcessPoolExecutor
 
 DEFAULT_RHOS = (1.0, 10.0, 50.0, 100.0)
@@ -116,7 +120,120 @@ class PairResult:
     sight: RunResult
     rc: RunResult
 
-    __reduce__ = _by_fields
+
+# Each outcome's code in a cell's `codes` column, and the outcome of each code.
+_CODE = {outcome: code for code, outcome in enumerate(RunOutcome)}
+_OUTCOME = tuple(RunOutcome)
+_FOUND, _INITIAL = _CODE[RunOutcome.FOUND], _CODE[RunOutcome.ABORT_INITIAL]
+
+
+def _empty_columns() -> list[array]:
+    """Empty columns codes, positives, negatives, extras and found, all but
+    codes int64. `array` is imported here, when a process first builds a
+    cell, so one that only generates or loads a family never loads it
+    (about 0.1 MB resident)."""
+    from array import array
+
+    return [array(typecode) for typecode in "bqqqq"]
+
+
+def _int32(column: array) -> array:
+    """The int64 `column` as 32-bit integers if they fit, else itself."""
+    if -2**31 <= min(column, default=0) and max(column, default=0) < 2**31:
+        return type(column)("i", column)
+    return column
+
+
+@dataclass(frozen=True, slots=True)
+class CellRuns(Sequence[PairResult]):
+    """The paired runs of one cell, pairs `start`, `start` + 1, ..., kept as
+    columns. Indexing makes a pair's PairResult when asked; a slice gives
+    a list of them, as a list's slice does.
+
+    Run 2i is the sight run of pair `start` + i and run 2i + 1 its rc run.
+    Per run, `codes` holds its outcome's place in RunOutcome, `positives`
+    and `negatives` its tests, `extras` sight's positives_pre_bottom_up or
+    rc's abort_step (-1 for None) and `found` its found set's place in
+    `sets`, or -1. `sets` holds each distinct found set once, as one
+    tuple, in order of first appearance, so cells of equal runs have
+    equal columns and compare equal. The integer columns are 32-bit
+    arrays when their values fit, as they do unless a run charges 2**31
+    tests. A cell pickles as its columns.
+    """
+
+    a0: int
+    start: int
+    codes: array
+    positives: array
+    negatives: array
+    extras: array
+    found: array
+    sets: list[KSet]
+
+    @classmethod
+    def of_pairs(
+        cls, a0: int, start: int, pairs: Iterable[tuple[RunResult, RunResult]]
+    ) -> CellRuns:
+        """The cell of the (sight, rc) runs `pairs`, whose first is pair `start`."""
+        codes, positives, negatives, extras, found = _empty_columns()
+        places: dict[KSet, int] = {}
+        for sight, rc in pairs:
+            for res, extra in ((sight, sight.positives_pre_bottom_up), (rc, rc.abort_step)):
+                codes.append(_CODE[res.outcome])
+                positives.append(res.positives)
+                negatives.append(res.negatives)
+                extras.append(-1 if extra is None else extra)
+                found.append(-1 if res.found is None
+                             else places.setdefault(res.found, len(places)))
+        return cls(a0, start, codes, *map(_int32, (positives, negatives, extras, found)),
+                   list(places))
+
+    @classmethod
+    def concat(cls, parts: Sequence[CellRuns]) -> CellRuns:
+        """One cell of `parts`, consecutive chunks of it in pair order."""
+        codes, positives, negatives, extras, found = _empty_columns()
+        places: dict[KSet, int] = {}
+        for part in parts:
+            codes.extend(part.codes)
+            positives.extend(part.positives.tolist())
+            negatives.extend(part.negatives.tolist())
+            extras.extend(part.extras.tolist())
+            moved = [places.setdefault(s, len(places)) for s in part.sets]
+            found.extend([-1 if place < 0 else moved[place] for place in part.found])
+        first = parts[0]
+        return cls(first.a0, first.start, codes,
+                   *map(_int32, (positives, negatives, extras, found)), list(places))
+
+    def __len__(self) -> int:
+        return len(self.codes) // 2
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._pair(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("cell index out of range")
+        return self._pair(i)
+
+    def __iter__(self):
+        return map(self._pair, range(len(self)))
+
+    def _pair(self, i: int) -> PairResult:
+        return PairResult(self.start + i, self._run(2 * i), self._run(2 * i + 1))
+
+    def _run(self, r: int) -> RunResult:
+        """Run r: a sight run if r is even, else an rc run."""
+        place, extra = self.found[r], self.extras[r]
+        extra = None if extra < 0 else extra
+        rc = r & 1
+        return RunResult(
+            "rc" if rc else "sight", _OUTCOME[self.codes[r]], self.positives[r],
+            self.negatives[r], self.a0, None if place < 0 else self.sets[place],
+            abort_step=extra if rc else None,
+            positives_pre_bottom_up=None if rc else extra,
+        )
 
 
 @dataclass(frozen=True)
@@ -184,7 +301,7 @@ def run_pair(
 
 def _run_pairs(
     family: PlantedFamily, config: ExperimentConfig, a0: int, start: int, stop: int
-) -> list[PairResult]:
+) -> CellRuns:
     """Pairs start..stop-1 of cell `a0`, in pair-id order, each as `run_pair`
     describes. The first call in a process checks `stream_keys` against
     numpy (`rng._check_stream_keys`) and raises ReplayError if it differs."""
@@ -202,18 +319,18 @@ def _run_pairs(
     ])
     generators = [np.random.Generator(np.random.Philox(key=0)) for _ in range(4)]
     init_rng, init_noise_rng, sight_rng, rc_rng = generators
-    pairs = []
-    for pair_id, row in zip(range(start, stop), keys):
-        row = row.tolist()
-        pair_keys = [row[i:i + 2] for i in range(0, 8, 2)]
-        for generator, key in zip(generators, pair_keys):
-            reset_generator(generator, key)
-        oracle = Oracle(family.project(sample(range(n), a0, init_rng)), config.p_fn)
-        sight_res = run_sight(n, sight_config, oracle, sight_rng, init_noise_rng)
-        reset_generator(init_noise_rng, pair_keys[1])
-        rc_res = run_rc(n, rc_config, oracle, rc_rng, init_noise_rng)
-        pairs.append(PairResult(pair_id=pair_id, sight=sight_res, rc=rc_res))
-    return pairs
+
+    def pairs():
+        for row in keys.tolist():
+            pair_keys = [row[i:i + 2] for i in range(0, 8, 2)]
+            for generator, key in zip(generators, pair_keys):
+                reset_generator(generator, key)
+            oracle = Oracle(family.project(sample(range(n), a0, init_rng)), config.p_fn)
+            sight_res = run_sight(n, sight_config, oracle, sight_rng, init_noise_rng)
+            reset_generator(init_noise_rng, pair_keys[1])
+            yield sight_res, run_rc(n, rc_config, oracle, rc_rng, init_noise_rng)
+
+    return CellRuns.of_pairs(a0, start, pairs())
 
 
 _worker_family: Optional[PlantedFamily] = None
@@ -226,7 +343,7 @@ def _init_worker(family: PlantedFamily, config: ExperimentConfig) -> None:
     _worker_config = config
 
 
-def _run_chunk(a0: int, start: int, stop: int) -> list[PairResult]:
+def _run_chunk(a0: int, start: int, stop: int) -> CellRuns:
     assert _worker_family is not None and _worker_config is not None
     return _run_pairs(_worker_family, _worker_config, a0, start, stop)
 
@@ -236,7 +353,7 @@ def run_cell(
     config: ExperimentConfig,
     a0: int,
     pool: Optional[ProcessPoolExecutor] = None,
-) -> list[PairResult]:
+) -> CellRuns:
     """All paired runs of one cell, in pair-id order.
 
     The pairs run on `pool` when one is given, a pool whose workers
@@ -246,7 +363,7 @@ def run_cell(
     if pool is None:
         return _run_pairs(family, config, a0, 0, config.runs_per_cell)
     futures = [pool.submit(_run_chunk, a0, *chunk) for chunk in _chunks(config)]
-    return [pair for fut in futures for pair in fut.result()]
+    return CellRuns.concat([fut.result() for fut in futures])
 
 
 def _chunks(config: ExperimentConfig) -> list[tuple[int, int]]:
@@ -283,37 +400,45 @@ def amortize(
     ledgers of trailing aborts after the last find. Conservation holds
     exactly: amortized totals plus residue equal the summed run ledgers.
     """
-    records: list[FindRecord] = []
-    pending = TestLedger()
-    for pair_id, res in enumerate(results):
-        pending.positives += res.ledger.positives
-        pending.negatives += res.ledger.negatives
-        if res.is_find:
-            assert res.found is not None
-            records.append(
-                FindRecord(
-                    algorithm=res.algorithm,
-                    a0=res.a0,
-                    pair_id=pair_id,
-                    found=res.found,
-                    k=len(res.found),
-                    own_positives=res.ledger.positives,
-                    own_negatives=res.ledger.negatives,
-                    amortized_positives=pending.positives,
-                    amortized_negatives=pending.negatives,
-                )
+    folded, residue = _fold(
+        [_CODE[res.outcome] for res in results],
+        [res.positives for res in results],
+        [res.negatives for res in results],
+    )
+    records = []
+    for pair_id, positives, negatives in folded:
+        res = results[pair_id]
+        records.append(
+            FindRecord(
+                algorithm=res.algorithm,
+                a0=res.a0,
+                pair_id=pair_id,
+                found=res.found,
+                k=len(res.found),
+                own_positives=res.positives,
+                own_negatives=res.negatives,
+                amortized_positives=positives,
+                amortized_negatives=negatives,
             )
-            pending = TestLedger()
-    return records, pending
+        )
+    return records, TestLedger(*residue)
 
 
-# Each amortized metric of a find record, after the suffix of the summary
-# fields med_*, u_* and p_* that report it.
-_AMORTIZED = (
-    ("total", "amortized_total"),
-    ("pos", "amortized_positives"),
-    ("neg", "amortized_negatives"),
-)
+def _fold(
+    codes: Iterable[int], positives: Iterable[int], negatives: Iterable[int]
+) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
+    """`amortize` over runs given as columns: each find's (run index,
+    amortized positives, amortized negatives), and the residue's
+    (positives, negatives)."""
+    finds = []
+    pending_pos = pending_neg = 0
+    for i, (code, pos, neg) in enumerate(zip(codes, positives, negatives)):
+        pending_pos += pos
+        pending_neg += neg
+        if code == _FOUND:
+            finds.append((i, pending_pos, pending_neg))
+            pending_pos = pending_neg = 0
+    return finds, (pending_pos, pending_neg)
 
 
 def summarize_cell(
@@ -322,44 +447,56 @@ def summarize_cell(
     rhos: Sequence[float] = DEFAULT_RHOS,
     label: str = "family",
 ) -> tuple[CellSummary, CellSummary]:
-    """Summaries for both algorithms of one cell (deterministic fold)."""
+    """Summaries for both algorithms of one cell (deterministic fold).
+
+    A CellRuns is read as its columns; other sequences of pairs are
+    first made into one.
+    """
     if not pairs:
         raise ValidationError("cannot summarize an empty cell")
-    by_alg = {
-        "sight": [p.sight for p in pairs],
-        "rc": [p.rc for p in pairs],
-    }
-    records = {alg: amortize(results)[0] for alg, results in by_alg.items()}
-
-    both_found = [
-        (p.sight.found, p.rc.found) for p in pairs if p.sight.is_find and p.rc.is_find
-    ]
+    cell = pairs if isinstance(pairs, CellRuns) else CellRuns.of_pairs(
+        a0, 0, ((p.sight, p.rc) for p in pairs))
+    # Each algorithm's runs are every other run of the cell.
+    sides = {"sight": slice(0, None, 2), "rc": slice(1, None, 2)}
+    found = {alg: cell.found[side] for alg, side in sides.items()}
+    # Equal found sets are one entry of `cell.sets`.
+    both_found = [(s, r) for s, r in zip(found["sight"], found["rc"]) if min(s, r) >= 0]
     prop_identical = (
         sum(1 for s, r in both_found if s == r) / len(both_found)
         if both_found
         else None
     )
 
+    # Each metric's amortized values over each algorithm's finds, in run order.
+    values: dict[str, dict[str, list[int]]] = {}
+    for alg, side in sides.items():
+        folded, _ = _fold(cell.codes[side], cell.positives[side], cell.negatives[side])
+        values[alg] = {
+            "total": [pos + neg for _, pos, neg in folded],
+            "pos": [pos for _, pos, _ in folded],
+            "neg": [neg for _, _, neg in folded],
+        }
+
     # Per algorithm, the median, U and p of each metric. One test per
     # metric: the rc row reports rc's U and the shared p.
-    fields: dict[str, dict] = {alg: {} for alg in by_alg}
-    for name, metric in _AMORTIZED:
-        x, y = ([getattr(r, metric) for r in records[alg]] for alg in by_alg)
+    fields: dict[str, dict] = {alg: {} for alg in sides}
+    for name in ("total", "pos", "neg"):
+        x, y = values["sight"][name], values["rc"][name]
         mw = mann_whitney_u(x, y) if x and y else None
-        for alg, values, u in (("sight", x, "u_x"), ("rc", y, "u_y")):
+        for alg, metric, u in (("sight", x, "u_x"), ("rc", y, "u_y")):
             fields[alg][f"med_{name}"] = (
-                float(statistics.median(values)) if values else None
+                float(statistics.median(metric)) if metric else None
             )
             fields[alg][f"u_{name}"] = None if mw is None else getattr(mw, u)
             fields[alg][f"p_{name}"] = None if mw is None else mw.p_value
 
     summaries = []
-    for alg, results in by_alg.items():
-        runs = len(results)
-        finds = len(records[alg])
-        init_fails = sum(1 for r in results if r.outcome is RunOutcome.ABORT_INITIAL)
+    runs = len(cell)
+    for alg, side in sides.items():
+        finds = len(values[alg]["total"])
+        init_fails = cell.codes[side].count(_INITIAL)
         conditioned = runs - init_fails
-        sizes = Counter(r.k for r in records[alg])
+        sizes = Counter(len(cell.sets[place]) for place in found[alg] if place >= 0)
         metrics = fields[alg]
         summaries.append(
             CellSummary(
@@ -387,14 +524,14 @@ def summarize_cell(
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    cells: dict[int, list[PairResult]]
+    cells: dict[int, CellRuns]
     summaries: list[CellSummary]
 
 
 def run_experiment(family: PlantedFamily, config: ExperimentConfig) -> ExperimentResult:
     """Execute the full paired grid and summarize every cell."""
     config.validate(family.universe_size)
-    cells: dict[int, list[PairResult]] = {}
+    cells: dict[int, CellRuns] = {}
     summaries: list[CellSummary] = []
     # One worker pool serves every cell, so each worker receives the
     # family once. A cell submits all its chunks at once, which starts
@@ -419,14 +556,19 @@ def run_experiment(family: PlantedFamily, config: ExperimentConfig) -> Experimen
 
 
 def write_run_log(stream: IO[str], result: ExperimentResult) -> None:
-    """Newline-delimited run records in pair-id order within each cell."""
+    """Newline-delimited run records in pair-id order within each cell,
+    each as `RunResult.to_record` makes it, read from the cell's columns."""
     for a0 in result.config.a0_grid:
-        for pair in result.cells[a0]:
-            for res in (pair.sight, pair.rc):
-                stream.write(
-                    json.dumps(res.to_record(pair.pair_id), separators=(",", ":"))
-                )
-                stream.write("\n")
+        cell = result.cells[a0]
+        runs = zip(cell.codes, cell.positives, cell.negatives, cell.extras, cell.found)
+        for r, (code, positives, negatives, extra, place) in enumerate(runs):
+            record = run_record(
+                "rc" if r & 1 else "sight", _OUTCOME[code],
+                None if place < 0 else cell.sets[place], positives, negatives, a0,
+                cell.start + r // 2, None if extra < 0 else extra,
+            )
+            stream.write(json.dumps(record, separators=(",", ":")))
+            stream.write("\n")
 
 
 def _fmt(value) -> str:
@@ -496,9 +638,10 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
     for key in keys:
         if key not in rec:
             raise ValueError(f"run record has no {key!r}")
+    # Counts and steps are kept in int64 columns (CellRuns).
     for key in ints:
-        if not (_is_int(rec[key]) and rec[key] >= 0):
-            raise ValueError(f"run record {key!r} is not a nonnegative integer")
+        if not (_is_int(rec[key]) and 0 <= rec[key] < 2**63):
+            raise ValueError(f"run record {key!r} is not a nonnegative integer below 2**63")
     algorithm = rec["algorithm"]
     if not (isinstance(algorithm, str) and algorithm in _OUTCOMES):
         raise ValueError(f"run record algorithm {algorithm!r} is unknown")
@@ -527,14 +670,15 @@ def _parse_run_record(line: str) -> tuple[int, int, RunResult]:
         if "abort_step" in rec:
             raise ValueError("sight run record has an 'abort_step'")
     elif outcome is RunOutcome.ABORT_AT_STEP:
-        if not (_is_int(abort_step) and abort_step > 0):
-            raise ValueError("run record 'abort_step' is not a positive integer")
+        if not (_is_int(abort_step) and 0 < abort_step < 2**63):
+            raise ValueError("run record 'abort_step' is not a positive integer below 2**63")
     elif abort_step is not None:
         raise ValueError(f"run record 'abort_step' does not fit outcome {outcome.value}")
     res = RunResult(
         algorithm=algorithm,
         outcome=outcome,
-        ledger=TestLedger(positives=rec["positives"], negatives=rec["negatives"]),
+        positives=rec["positives"],
+        negatives=rec["negatives"],
         a0=rec["a0"],
         found=None if found is None else tuple(found),
         abort_step=abort_step,
@@ -574,7 +718,7 @@ def check_bounds(res: RunResult, config: ExperimentConfig) -> None:
 
 def read_run_log(
     path: str | Path, config: ExperimentConfig | None = None
-) -> tuple[tuple[int, ...], dict[int, list[PairResult]]]:
+) -> tuple[tuple[int, ...], dict[int, CellRuns]]:
     """Rebuild paired results from a run log written by `write_run_log`.
 
     Returns the a0 grid in first-appearance order and the pairs per cell.
@@ -615,7 +759,7 @@ def read_run_log(
         sides[res.algorithm] = res
         first_line.setdefault((a0, pair_id), lineno)
         last_line[a0] = lineno
-    pairs_by_a0: dict[int, list[PairResult]] = {}
+    pairs_by_a0: dict[int, CellRuns] = {}
     for a0 in grid:
         pairs = []
         for expected, pair_id in enumerate(sorted(cells[a0])):
@@ -639,8 +783,8 @@ def read_run_log(
                     f"sight {sight.outcome.value} and rc {rc.outcome.value}, but "
                     "both or neither must be AbortInitial"
                 )
-            pairs.append(PairResult(pair_id=pair_id, sight=sight, rc=rc))
-        pairs_by_a0[a0] = pairs
+            pairs.append((sight, rc))
+        pairs_by_a0[a0] = CellRuns.of_pairs(a0, 0, pairs)
         if len(pairs) != len(pairs_by_a0[grid[0]]):
             raise ValidationError(
                 f"{path}:{last_line[a0]}: cell a0={a0} has {len(pairs)} pairs, "

@@ -11,6 +11,7 @@ positive/negative test ledger.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from functools import cache
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -250,11 +252,13 @@ class PlantedFamily:
         """The family in the JSON file at `path`.
 
         A file in exactly the layout `save` writes is read straight into
-        the row store (`_read_saved`), with no list per set. Any other
-        file goes through `json.loads` and `from_json_dict`, so both paths
+        the row store (`_read_saved`), with no list per set and no more
+        than about a slice of its bytes in memory at once. Any other file
+        goes through `json.loads` and `from_json_dict`, so both paths
         accept the same files and raise the same errors.
         """
-        saved = _read_saved(Path(path).read_bytes())
+        with Path(path).open("rb") as file:
+            saved = _read_saved(file)
         if saved is None:
             return cls.from_json_dict(json.loads(Path(path).read_text()))
         universe_size, members, sizes, seed = saved
@@ -272,8 +276,11 @@ _SAVED_HEAD = re.compile(rb'\{"universe_size": (0|[1-9][0-9]{0,17}), "planted": 
 _SAVED_TAIL = re.compile(rb'\], "seed": (null|0|[1-9][0-9]{0,17})\}\n')
 _MAX_DIGITS = 18
 
-# Most bytes of sets `_read_saved` parses at once.
+# Most bytes of sets `_read_saved` reads at once, and so about the most it
+# parses at once.
 _SLICE = 1 << 19
+# More bytes than the head or the tail of the layout can hold.
+_END_BYTES = 64
 
 # The kind of each byte of the sets: a digit, "[", "]", ",", " " or other.
 _DIGIT, _OPEN, _CLOSE, _COMMA, _SPACE, _OTHER = range(6)
@@ -288,56 +295,82 @@ _PAIRS[[6 * kind + after for kind, after in (
 )]] = True
 
 
-def _read_saved(data: bytes) -> tuple[int, np.ndarray, np.ndarray, int | None] | None:
-    """(universe_size, members, sizes, seed) of a family file in exactly
-    the layout `save` writes, or None for any other file.
+def _read_saved(file: BinaryIO) -> tuple[int, np.ndarray, np.ndarray, int | None] | None:
+    """(universe_size, members, sizes, seed) of the family file open for
+    reading bytes as `file`, if it is in exactly the layout `save` writes
+    and can seek; None for any other file.
 
     The layout is `{"universe_size": N, "planted": [`, the sets as
     `[a, b, ...]` joined by ", ", then `], "seed": S}` and a newline,
     with S an integer or null; an integer has no sign, leading zero,
-    point or exponent, and at most 18 digits. The sets are checked and
-    parsed `_SLICE` bytes at a time, each slice ending at a set's "]".
-    `members` holds the members of every set one after another, as the
-    store's column type when they all fit it and as int64 otherwise, so
-    that the store's checks name the first out-of-range set, as they do
-    for the lists `json.loads` makes.
+    point or exponent, and at most 18 digits. The head is read from the
+    start and the tail by seeking to the end. The sets are then read
+    twice, `_SLICE` bytes at a time: once to count their members and
+    sets, and once to check and parse them, each slice ending at a set's
+    "]". `members` holds the members of every set one after another, as
+    the store's column type when they all fit it and as int64 otherwise,
+    so that the store's checks name the first out-of-range set, as they
+    do for the lists `json.loads` makes.
     """
-    head = _SAVED_HEAD.match(data)
+    if not file.seekable():
+        return None
+    head = _SAVED_HEAD.match(file.read(_END_BYTES))
+    at = max(file.seek(0, os.SEEK_END) - _END_BYTES, 0)
+    file.seek(at)
+    last = file.read()
     # No '"' can occur among the sets, so the last match is the tail.
-    end = data.rfind(b'], "seed": ')
-    tail = _SAVED_TAIL.fullmatch(data, end) if head and end >= head.end() else None
+    cut = last.rfind(b'], "seed": ')
+    tail = (_SAVED_TAIL.fullmatch(last, cut)
+            if head and cut >= 0 and at + cut >= head.end() else None)
     if tail is None:
         return None
     universe_size = int(head[1])
-    lo = head.end()
+    lo, end = head.end(), at + cut
     # Exact for bytes in the layout, where the sets hold one member more
     # than there are commas. Bytes that are not make some slice return
     # None, and the slices before it fit.
-    members = np.empty(data.count(b",", lo, end) + (lo < end),
-                       dtype=np.min_scalar_type(universe_size))
-    sizes = np.empty(data.count(b"[", lo, end), dtype=np.intp)
+    commas = opens = 0
+    file.seek(lo)
+    for left in range(end - lo, 0, -_SLICE):
+        block = file.read(min(_SLICE, left))
+        commas += block.count(b",")
+        opens += block.count(b"[")
+    members = np.empty(commas + (lo < end), dtype=np.min_scalar_type(universe_size))
+    sizes = np.empty(opens, dtype=np.min_scalar_type(len(members)))
     top = int(np.iinfo(members.dtype).max)
-    at = count = 0
-    while lo < end:
-        hi = end
-        if end - lo > _SLICE:
-            cut = data.rfind(b"], [", lo, lo + _SLICE)
-            if cut < 0:
-                cut = data.find(b"], [", lo + _SLICE, end)
-            if cut >= 0:
-                hi = cut + 1
-        sets = _parse_sets(np.frombuffer(data, np.uint8, hi - lo, lo))
+    done = count = 0
+    file.seek(lo)
+    left, buffer = end - lo, bytearray()
+    while left or buffer:
+        if left:
+            block = file.read(min(_SLICE, left))
+            if not block:  # the file shrank
+                return None
+            left -= len(block)
+            buffer += block
+            # The sets up to the last whole one; a longer set waits for more.
+            hi = buffer.rfind(b"], [") + 1
+            if not hi:
+                continue
+        else:
+            hi = len(buffer)
+        sets = _parse_sets(np.frombuffer(buffer, np.uint8, hi))
         if sets is None:
             return None
         values, counts = sets
+        if done + len(values) > len(members) or count + len(counts) > len(sizes):
+            return None  # the file changed after it was counted
         if int(values.max()) > top and members.dtype != np.int64:
             members = members.astype(np.int64)
-        members[at:at + len(values)] = values
+        members[done:done + len(values)] = values
         sizes[count:count + len(counts)] = counts
-        at += len(values)
+        done += len(values)
         count += len(counts)
-        # Past the ", " that `cut` found before the next set.
-        lo = hi + 2
+        # With the ", " before the next set. `_parse_sets` keeps no view
+        # of `buffer`, which could not shrink while one lived.
+        del buffer[:hi + 2]
+    if (done, count) != (len(members), len(sizes)):
+        return None
     seed = None if tail[1] == b"null" else int(tail[1])
     return universe_size, members, sizes, seed
 
@@ -591,24 +624,12 @@ def _not_antichain(p: KSet) -> ValidationError:
     )
 
 
-def _by_fields(record) -> tuple:
-    """`__reduce__` of a slotted dataclass: its class and field values.
-
-    The default one made by `slots=True` runs `__getstate__` and
-    `__setstate__` in Python, which doubled the time to pickle the
-    records a worker sends back.
-    """
-    return type(record), tuple(map(record.__getattribute__, record.__slots__))
-
-
 @dataclass(slots=True)
 class TestLedger:
     """Counts of charged positive and negative tests for one run."""
 
     positives: int = 0
     negatives: int = 0
-
-    __reduce__ = _by_fields
 
     @property
     def total(self) -> int:

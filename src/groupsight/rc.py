@@ -27,6 +27,7 @@ from .results import (
     bit_values,
     bottom_up,
     check_window,
+    run_result,
     start_run,
 )
 
@@ -111,7 +112,7 @@ def run_rc(
     """
     length = start_run(universe_size, config, oracle)
     ledger = TestLedger()
-    result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
+    result = partial(run_result, ALGORITHM, ledger, config.a0)
 
     if not oracle.is_defective((1 << length) - 1, ledger, init_rng):
         return result(RunOutcome.ABORT_INITIAL)

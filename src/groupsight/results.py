@@ -12,7 +12,7 @@ import numpy as np
 
 from .backend import FamilyProjection
 from .errors import ValidationError
-from .oracle import KSet, Oracle, TestLedger, _by_fields
+from .oracle import KSet, Oracle, TestLedger
 
 # Registry of the tests already submitted to the oracle this run, each as
 # its mask over the run's sample, with the answer observed.
@@ -29,7 +29,8 @@ class RunOutcome(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class RunResult:
-    """Outcome of one sampler run plus its test ledger.
+    """Outcome of one sampler run and the positive and negative tests it
+    was charged; `ledger` is a TestLedger of the two, made when read.
 
     `positives_pre_bottom_up` snapshots the positive count before the
     final minimality search (deterministic sampler only); for aborted
@@ -38,13 +39,16 @@ class RunResult:
 
     algorithm: str
     outcome: RunOutcome
-    ledger: TestLedger
+    positives: int
+    negatives: int
     a0: int
     found: KSet | None = None
     abort_step: int | None = None
     positives_pre_bottom_up: int | None = None
 
-    __reduce__ = _by_fields
+    @property
+    def ledger(self) -> TestLedger:
+        return TestLedger(self.positives, self.negatives)
 
     @property
     def is_find(self) -> bool:
@@ -56,19 +60,33 @@ class RunResult:
 
     def to_record(self, seed: int) -> dict:
         """JSON-ready run record. `seed` is the run's substream index."""
-        record = {
-            "algorithm": self.algorithm,
-            "outcome": self.outcome.value,
-            "found_set": None if self.found is None else list(self.found),
-            "k": self.found_k,
-            "positives": self.ledger.positives,
-            "negatives": self.ledger.negatives,
-            "a0": self.a0,
-            "seed": seed,
-        }
-        if self.algorithm == "rc":
-            record["abort_step"] = self.abort_step
-        return record
+        return run_record(self.algorithm, self.outcome, self.found, self.positives,
+                          self.negatives, self.a0, seed, self.abort_step)
+
+
+def run_record(algorithm: str, outcome: RunOutcome, found: KSet | None, positives: int,
+               negatives: int, a0: int, seed: int, abort_step: int | None) -> dict:
+    """The JSON-ready record of a run with these fields; only an rc run's
+    record holds its `abort_step`."""
+    record = {
+        "algorithm": algorithm,
+        "outcome": outcome.value,
+        "found_set": None if found is None else list(found),
+        "k": None if found is None else len(found),
+        "positives": positives,
+        "negatives": negatives,
+        "a0": a0,
+        "seed": seed,
+    }
+    if algorithm == "rc":
+        record["abort_step"] = abort_step
+    return record
+
+
+def run_result(algorithm: str, ledger: TestLedger, a0: int, outcome: RunOutcome,
+               **fields) -> RunResult:
+    """The result of a run that ends now, charged what `ledger` holds."""
+    return RunResult(algorithm, outcome, ledger.positives, ledger.negatives, a0, **fields)
 
 
 def check_window(config, universe_size: int, a0_op: str) -> None:

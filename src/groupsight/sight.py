@@ -29,6 +29,7 @@ from .results import (
     ask,
     bottom_up,
     check_window,
+    run_result,
     start_run,
 )
 
@@ -129,7 +130,7 @@ def run_sight(
     length = start_run(universe_size, config, oracle)
     ledger = TestLedger()
     tested: TestedRegistry = {}
-    result = partial(RunResult, ALGORITHM, ledger=ledger, a0=config.a0)
+    result = partial(run_result, ALGORITHM, ledger, config.a0)
     k_max = config.k_max
 
     if not ask((1 << length) - 1, oracle, ledger, init_rng,

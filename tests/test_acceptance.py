@@ -10,9 +10,12 @@ initial set size and drives mid-run aborts.
 
 import hashlib
 import math
+import multiprocessing
 import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -111,50 +114,17 @@ def test_criterion_1_bound_compliance():
     family = generate_family(
         256, {2: 60, 3: 80, 4: 100, 5: 120, 6: 80}, seed=11
     )
-    runs_per_combo = 2100
-    init, sight_rng, rc_rng = (np.random.Generator(np.random.Philox(key=0)) for _ in range(3))
+    combos = [(a0, k_max, p_fn) for a0 in (8, 16, 48, 176)
+                    for k_max in (2, 3, 4) for p_fn in (0.0, 0.05)]
     start = time.monotonic()
-    total_runs = 0
-    violations = 0
-    for a0 in (8, 16, 48, 176):
-        for k_max in (2, 3, 4):
-            schedule = build_schedule(a0, k_max)
-            s_bound = sight_max_tests(a0, 2, k_max)
-            s_pos_bound = sight_max_positive(a0, k_max)
-            r_bound = rc_max_tests(schedule, 20, 2, k_max)
-            r_pos_bound = rc_max_positive(len(schedule))
-            for p_fn in (0.0, 0.05):
-                scfg = SightConfig(a0=a0, k_min=2, k_max=k_max)
-                rcfg = RcConfig(a0=a0, k_min=2, k_max=k_max, t_max=20)
-                key = a0 * 1000 + k_max * 10 + int(p_fn * 100)
-                # The keys of substreams (70, key, j, role) for every run j,
-                # each run resetting the same three generators to its own.
-                init_keys, sight_keys, rc_keys = (
-                    stream_keys(70, key, np.arange(runs_per_combo), role).tolist()
-                    for role in (ROLE_INIT, ROLE_SIGHT, ROLE_RC)
-                )
-                for j in range(runs_per_combo):
-                    # Every query is a subset of s, so the projection answers
-                    # as the whole family would. Each sampler's INIT stream
-                    # is left where its own draw of s would leave it.
-                    reset_generator(init, init_keys[j])
-                    s = sample(range(256), a0, init)
-                    oracle = Oracle(family.project(s), p_fn)
-                    reset_generator(sight_rng, sight_keys[j])
-                    sres = run_sight(256, scfg, oracle, sight_rng, init)
-                    reset_generator(init, init_keys[j])
-                    sample(range(256), a0, init)
-                    reset_generator(rc_rng, rc_keys[j])
-                    rres = run_rc(256, rcfg, oracle, rc_rng, init)
-                    total_runs += 2
-                    if sres.ledger.total > s_bound:
-                        violations += 1
-                    if sres.positives_pre_bottom_up > s_pos_bound:
-                        violations += 1
-                    if rres.ledger.total > r_bound:
-                        violations += 1
-                    if rres.ledger.positives > r_pos_bound:
-                        violations += 1
+    # Each combination draws from its own stream keys, so two processes
+    # run them with the same draws as one would.
+    with ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        counts = list(pool.map(partial(bound_violations, family), *zip(*combos)))
+    total_runs = sum(runs for runs, _ in counts)
+    violations = sum(found for _, found in counts)
     elapsed = time.monotonic() - start
     report(
         1,
@@ -162,6 +132,52 @@ def test_criterion_1_bound_compliance():
         f"{total_runs} runs, {violations} bound violations, {elapsed:.0f}s "
         f"(target 120s)",
     )
+
+
+def bound_violations(family, a0: int, k_max: int, p_fn: float) -> tuple[int, int]:
+    """Criterion 1's runs of one (a0, k_max, p_fn) combination, and how many
+    bounds they broke."""
+    runs_per_combo = 2100
+    init, sight_rng, rc_rng = (np.random.Generator(np.random.Philox(key=0)) for _ in range(3))
+    total_runs = 0
+    violations = 0
+    schedule = build_schedule(a0, k_max)
+    s_bound = sight_max_tests(a0, 2, k_max)
+    s_pos_bound = sight_max_positive(a0, k_max)
+    r_bound = rc_max_tests(schedule, 20, 2, k_max)
+    r_pos_bound = rc_max_positive(len(schedule))
+    scfg = SightConfig(a0=a0, k_min=2, k_max=k_max)
+    rcfg = RcConfig(a0=a0, k_min=2, k_max=k_max, t_max=20)
+    key = a0 * 1000 + k_max * 10 + int(p_fn * 100)
+    # The keys of substreams (70, key, j, role) for every run j,
+    # each run resetting the same three generators to its own.
+    init_keys, sight_keys, rc_keys = (
+        stream_keys(70, key, np.arange(runs_per_combo), role).tolist()
+        for role in (ROLE_INIT, ROLE_SIGHT, ROLE_RC)
+    )
+    for j in range(runs_per_combo):
+        # Every query is a subset of s, so the projection answers
+        # as the whole family would. Each sampler's INIT stream
+        # is left where its own draw of s would leave it.
+        reset_generator(init, init_keys[j])
+        s = sample(range(256), a0, init)
+        oracle = Oracle(family.project(s), p_fn)
+        reset_generator(sight_rng, sight_keys[j])
+        sres = run_sight(256, scfg, oracle, sight_rng, init)
+        reset_generator(init, init_keys[j])
+        sample(range(256), a0, init)
+        reset_generator(rc_rng, rc_keys[j])
+        rres = run_rc(256, rcfg, oracle, rc_rng, init)
+        total_runs += 2
+        if sres.ledger.total > s_bound:
+            violations += 1
+        if sres.positives_pre_bottom_up > s_pos_bound:
+            violations += 1
+        if rres.ledger.total > r_bound:
+            violations += 1
+        if rres.ledger.positives > r_pos_bound:
+            violations += 1
+    return total_runs, violations
 
 
 def test_criterion_2_minimality_oracle():

@@ -1029,6 +1029,23 @@ class TestEntryPoints:
                 importing.append(args[0])
         assert importing == []
 
+    def test_only_building_cells_imports_array(self, tmp_path):
+        # The `array` module holds about 0.1 MB resident, and generation
+        # sets the peak of `generate`; a cell's columns are its only use.
+        fam = tmp_path / "fam.json"
+        script = (
+            "import sys\n"
+            "from groupsight import PlantedFamily, cli\n"
+            f"assert cli.main(['generate', '--n', '60', '--k2', '10', '-o', {str(fam)!r}]) == 0\n"
+            f"PlantedFamily.load({str(fam)!r})\n"
+            "assert 'array' not in sys.modules\n"
+            f"assert cli.main(['run', '--family', {str(fam)!r}, '--a0', '8', '--runs', '2',\n"
+            f"                 '-o', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'array' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_only_a_pool_run_imports_the_pool(self, tmp_path):
         # `concurrent.futures` and `multiprocessing` (with `logging` and
         # `socket`) hold about 2 MB resident. `generate`, `stats` and a

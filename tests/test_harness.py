@@ -68,7 +68,8 @@ def fake_run(algorithm, outcome, positives, negatives, a0=8, found=None):
     return RunResult(
         algorithm=algorithm,
         outcome=outcome,
-        ledger=Ledger(positives=positives, negatives=negatives),
+        positives=positives,
+        negatives=negatives,
         a0=a0,
         found=found,
     )
@@ -232,10 +233,10 @@ class TestRunPair:
             a0_grid=(16,), runs_per_cell=12, p_fn=0.05, master_seed=2**40 + 3
         )
         alone = [run_pair(fam, cfg, 16, j) for j in range(cfg.runs_per_cell)]
-        assert harness.run_cell(fam, cfg, 16) == alone
+        assert list(harness.run_cell(fam, cfg, 16)) == alone
         harness._init_worker(fam, cfg)
         try:
-            assert harness._run_chunk(16, 5, 9) == alone[5:9]
+            assert list(harness._run_chunk(16, 5, 9)) == alone[5:9]
         finally:
             harness._init_worker(None, None)
 
@@ -566,9 +567,10 @@ class TestRecords:
             assert [type(r) for p in back for r in (p, p.sight, p.rc, p.rc.ledger)] == [
                 type(r) for p in pairs for r in (p, p.sight, p.rc, p.rc.ledger)]
 
-    def test_a_pair_keeps_under_600_bytes(self):
+    def test_a_pair_keeps_under_160_bytes(self):
         # The benchmark's sparse family at one of its cells. With a `__dict__`
-        # on each record a pair kept about 700 bytes; without, about 480.
+        # on each record a pair kept about 700 bytes; slotted records, about
+        # 480; as a cell's columns, about 106.
         family = generate_family(1000, {2: 400, 3: 400, 4: 400}, seed=20250810)
         config = ExperimentConfig(a0_grid=(48,), runs_per_cell=1000, master_seed=1)
         harness._run_pairs(family, config, 48, 0, 10)  # per-process checks and caches
@@ -579,4 +581,93 @@ class TestRecords:
         finally:
             tracemalloc.stop()
         assert len(pairs) == 1000
-        assert kept / 1000 <= 600
+        assert kept / 1000 <= 160
+
+    def test_a_pickled_chunk_of_63_pairs_takes_under_3000_bytes(self):
+        # The cli workload's chunk size, on the sparse family: 4,586 bytes as
+        # a list of slotted records, 2,746 as columns.
+        family = generate_family(1000, {2: 400, 3: 400, 4: 400}, seed=20250810)
+        config = ExperimentConfig(a0_grid=(48,), runs_per_cell=63, master_seed=1)
+        chunk = harness._run_pairs(family, config, 48, 0, 63)
+        assert len(pickle.dumps(chunk)) < 3000
+
+
+class TestCellRuns:
+    """A cell's runs are columns that read as a list of PairResults."""
+
+    @pytest.fixture(scope="class")
+    def cell(self, family, config):
+        return harness.run_cell(family, config, 16)
+
+    def test_equal_found_sets_are_one_tuple(self, cell):
+        found = [res.found for pair in cell for res in (pair.sight, pair.rc)
+                 if res.found is not None]
+        assert len(found) > len(set(found)) > 1
+        first = {}
+        for f in found:
+            assert first.setdefault(f, f) is f
+        assert any(p.sight.found == p.rc.found for p in cell if p.sight.found)
+        for pair in cell:
+            if pair.sight.found == pair.rc.found:
+                assert pair.sight.found is pair.rc.found
+        assert len(cell.sets) == len(set(found))
+
+    def test_indexes_and_slices_read_as_a_list(self, cell):
+        pairs = list(cell)
+        n = len(pairs)
+        assert [p.pair_id for p in pairs] == list(range(n))
+        for i in (0, 1, n - 1, -1, -2, -n):
+            assert cell[i] == pairs[i]
+        for i in (n, n + 1, -n - 1, -n - 5):
+            with pytest.raises(IndexError):
+                cell[i]
+            with pytest.raises(IndexError):
+                pairs[i]
+        for bad in ("1", 1.0, None):
+            with pytest.raises(TypeError):
+                cell[bad]
+        for index in (slice(None), slice(3, 9), slice(-5, None), slice(None, -70),
+                      slice(None, None, -3), slice(70, 2, -7), slice(n + 5, n + 9)):
+            assert cell[index] == pairs[index]
+        assert list(reversed(cell)) == pairs[::-1]
+        assert pairs[5] in cell and cell.index(pairs[5]) == 5
+
+    def test_chunks_join_into_the_cell(self, family, config, cell):
+        chunks = [harness._run_pairs(family, config, 16, lo, hi)
+                  for lo, hi in harness._chunks(dataclasses.replace(config, threads=3))]
+        assert len(chunks) > 1 and chunks[1].start == len(chunks[0])
+        assert harness.CellRuns.concat(chunks) == cell
+        assert [p for chunk in chunks for p in chunk] == list(cell)
+
+    def test_counts_past_32_bits_are_kept(self):
+        big = fake_run("sight", RunOutcome.ABORT_TOO_LARGE, 2**40, 3)
+        cell = harness.CellRuns.of_pairs(8, 0, [(big, abort("rc", 1, 2))])
+        assert cell.positives.typecode == "q" and cell.negatives.typecode == "i"
+        assert cell[0].sight == big
+        assert harness.CellRuns.concat([cell, cell]).positives.tolist() == [2**40, 1] * 2
+
+    def test_read_run_log_rebuilds_the_cell(self, family, config, tmp_path):
+        result = run_experiment(family, config)
+        path = tmp_path / "runs.jsonl"
+        with open(path, "w") as fh:
+            write_run_log(fh, result)
+        grid, cells = read_run_log(path)
+        # The one field a run log does not hold.
+        for a0 in grid:
+            logged = harness.CellRuns.of_pairs(a0, 0, (
+                (dataclasses.replace(p.sight, positives_pre_bottom_up=None), p.rc)
+                for p in result.cells[a0]))
+            assert cells[a0] == logged
+            assert cells[a0] != result.cells[a0]
+
+    def test_a_count_past_64_bits_names_its_line(self, family, config, tmp_path):
+        result = run_experiment(family, config)
+        log = io.StringIO()
+        write_run_log(log, result)
+        lines = log.getvalue().splitlines()
+        rec = json.loads(lines[2])
+        rec["negatives"] = 2**63
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+        with pytest.raises(ValidationError, match="runs.jsonl:3: .*'negatives'.* below 2\\*\\*63"):
+            read_run_log(path)

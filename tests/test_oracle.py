@@ -775,6 +775,11 @@ def _outcome(read) -> tuple:
             [(a.dtype, a.tolist()) for a in arrays])
 
 
+def read_saved(path):
+    with open(path, "rb") as file:
+        return oracle._read_saved(file)
+
+
 def _read_both_ways(path) -> tuple[tuple, tuple]:
     """The outcomes of `load` and of `json.loads` + `from_json_dict`."""
     return (_outcome(lambda: PlantedFamily.load(path)),
@@ -907,7 +912,7 @@ class TestSavedLayoutReader:
                 mock.patch.object(oracle, "_SLICE", slice_bytes):
             path = Path(tmp) / "fam.json"
             path.write_bytes(text.encode())
-            fast = oracle._read_saved(path.read_bytes()) is not None
+            fast = read_saved(path) is not None
             assert fast == _FAST_PATH[change]
             loaded, parsed = _read_both_ways(path)
             assert loaded == parsed
@@ -929,7 +934,7 @@ class TestSavedLayoutReader:
     def test_saved_files_take_the_fast_path(self, tmp_path, monkeypatch, make):
         path = tmp_path / "fam.json"
         make().save(path)
-        assert oracle._read_saved(path.read_bytes()) is not None
+        assert read_saved(path) is not None
         loaded, parsed = _read_both_ways(path)
         assert loaded == parsed and loaded[0] == "family"
         # No list per set: `json` is not called.
@@ -963,7 +968,7 @@ class TestSavedLayoutReader:
         path = tmp_path / "fam.json"
         path.write_text('{"universe_size": 10, "planted": [[0, 1], [2, 3], '
                         '[4, 300], [5, 6, 100000000000000000]], "seed": 7}\n')
-        members = oracle._read_saved(path.read_bytes())[1]
+        members = read_saved(path)[1]
         assert members.dtype == np.int64
         assert members.tolist() == [0, 1, 2, 3, 4, 300, 5, 6, 10**17]
         loaded, parsed = _read_both_ways(path)
